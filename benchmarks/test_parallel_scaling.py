@@ -13,10 +13,16 @@ target). This experiment measures the worker-pool runtime two ways:
   run → executions rounded up to whole batches), so speedup ratios sit
   well above timer noise; every cell records ``executions/s`` next to
   its speedup.
-* **DSE verdict identity + state-wire economics** — the leased
-  :class:`ParallelAnalysisEngine` reproduces the serial engine's
+* **DSE verdict identity, host time + state-wire economics** — the
+  leased :class:`ParallelAnalysisEngine` reproduces the serial engine's
   verdicts on a forking workload at 1/2/4 workers under both
-  transports, and the delta state wire
+  transports; every cell records its host time as a ratio to the
+  serial DSE run (median of ``DSE_SERIAL_ROUNDS``), and the **DSE time
+  gate** holds each cell to ``DSE_MAX_RATIO`` x serial wherever the
+  host has a core per worker (workers start before the timed region,
+  as in the fuzz cells). The serial run takes tens of milliseconds,
+  so the gate catches a worker whose cold solver stalls on a query.
+  The delta state wire
   (:mod:`repro.parallel.statewire`) is measured against a full-pickle
   baseline cell (``delta_state=False``): the **wire-efficiency gate**
   requires mean delta bytes per shipped state < 25 % of mean
@@ -41,6 +47,7 @@ Emits ``benchmarks/out/BENCH_parallel.json`` with the scaling table.
 """
 
 import os
+import statistics
 import time
 
 from benchmarks.conftest import emit, emit_json
@@ -77,6 +84,12 @@ MAX_STATE_BYTES_RATIO = 0.25
 
 DSE_FIRMWARE_ARGS = dict(n_paths=6, work_cycles=8)
 DSE_INSTRUCTIONS = 200_000
+#: DSE time gate: a parallel DSE cell may take at most this many times
+#: the serial DSE run's host time.
+DSE_MAX_RATIO = 10.0
+#: The serial DSE run takes tens of milliseconds: time it this many
+#: times and compare against the median.
+DSE_SERIAL_ROUNDS = 3
 
 
 def _effective_cores() -> int:
@@ -128,11 +141,37 @@ def _parallel_fuzz(workers, transport, executions):
     return report, elapsed, stats
 
 
+def _serial_dse():
+    session = HardSnapSession(dispatcher(**DSE_FIRMWARE_ARGS), TIMER,
+                              scan_mode="functional")
+    start = time.perf_counter()
+    report = session.run(max_instructions=DSE_INSTRUCTIONS)
+    return report, time.perf_counter() - start
+
+
+def _dse_time_gate(dse_cells, serial_s, effective_cores):
+    """Per cell: host time over serial, enforced where the host has a
+    core per worker; a skipped cell carries its reason."""
+    cells = {}
+    for (transport, workers), cell in dse_cells.items():
+        entry = {"ratio": cell["host_s"] / serial_s,
+                 "enforced": effective_cores >= workers}
+        if not entry["enforced"]:
+            entry["note"] = (
+                f"DSE time gate SKIPPED: {effective_cores} effective "
+                f"core(s) cannot host {workers} concurrent workers; "
+                f"ratio recorded, identity still asserted")
+        cells[f"{transport}/{workers}"] = entry
+    return {"max_ratio": DSE_MAX_RATIO, "serial_host_s": serial_s,
+            "serial_rounds": DSE_SERIAL_ROUNDS, "cells": cells}
+
+
 def _dse_cell(transport, workers, delta_state=True):
     with ParallelAnalysisEngine(dispatcher(**DSE_FIRMWARE_ARGS), TIMER,
                                 workers=workers, transport=transport,
                                 delta_state=delta_state,
                                 scan_mode="functional") as engine:
+        engine.warm()  # worker start-up out of the timed region
         start = time.perf_counter()
         report = engine.run(max_instructions=DSE_INSTRUCTIONS)
         elapsed = time.perf_counter() - start
@@ -190,15 +229,16 @@ def test_parallel_scaling(benchmark):
 
     # -- DSE: verdict identity at 1/2/4 workers under both transports,
     # and state-wire economics vs a full-pickle baseline cell ----------
-    dse_serial = HardSnapSession(
-        dispatcher(**DSE_FIRMWARE_ARGS), TIMER,
-        scan_mode="functional").run(max_instructions=DSE_INSTRUCTIONS)
+    serial_runs = [_serial_dse() for _ in range(DSE_SERIAL_ROUNDS)]
+    dse_serial = serial_runs[0][0]
+    dse_serial_s = statistics.median(t for _, t in serial_runs)
     dse_cells = {}
     for transport in transports:
         for workers in WORKER_COUNTS:
             report, elapsed, stats = _dse_cell(transport, workers)
             dse_cells[(transport, workers)] = {
                 "host_s": elapsed,
+                "ratio_to_serial": elapsed / dse_serial_s,
                 "verdict_identical": (report.verdict_summary()
                                       == dse_serial.verdict_summary()),
                 "ipc": stats.ipc.as_dict(),
@@ -208,6 +248,7 @@ def test_parallel_scaling(benchmark):
         default_transport, GATE_WORKERS, delta_state=False)
     baseline_cell = {
         "host_s": baseline_s,
+        "ratio_to_serial": baseline_s / dse_serial_s,
         "verdict_identical": (baseline_report.verdict_summary()
                               == dse_serial.verdict_summary()),
         "ipc": baseline_stats.ipc.as_dict(),
@@ -260,6 +301,21 @@ def test_parallel_scaling(benchmark):
             f"cannot host {GATE_WORKERS} concurrent workers; identity "
             f"properties still asserted")
         print(gate["note"])
+    dse_gate = _dse_time_gate(dse_cells, dse_serial_s, effective_cores)
+
+    dse_rows = [["serial", "-", 1, f"{dse_serial_s:.3f}", "1.00x", "-"]]
+    for (transport, workers), cell in dse_cells.items():
+        gated = dse_gate["cells"][f"{transport}/{workers}"]["enforced"]
+        dse_rows.append([
+            "parallel", transport, workers, f"{cell['host_s']:.3f}",
+            f"{cell['ratio_to_serial']:.2f}x",
+            f"<= {DSE_MAX_RATIO:g}x" if gated else "skipped"])
+    emit("parallel_scaling_dse", format_table(
+        ["runtime", "transport", "workers", "host s", "vs serial",
+         "time gate"], dse_rows,
+        title=f"E9: DSE of dispatcher({DSE_FIRMWARE_ARGS['n_paths']}) "
+              f"to exhaustion, {effective_cores} effective cores "
+              f"(serial: median of {DSE_SERIAL_ROUNDS})"))
 
     emit_json("BENCH_parallel.json", {
         "experiment": "parallel_scaling",
@@ -290,11 +346,13 @@ def test_parallel_scaling(benchmark):
         "speedup_gate": gate,
         "dse": {
             "serial_instructions": dse_serial.instructions,
+            "serial_host_s": dse_serial_s,
             "cells": {f"{t}/{w}": cell
                       for (t, w), cell in dse_cells.items()},
             "full_pickle_baseline": baseline_cell,
         },
         "state_wire_gate": wire_gate,
+        "dse_time_gate": dse_gate,
         "shm_lane": shm_lane,
     })
 
@@ -311,6 +369,11 @@ def test_parallel_scaling(benchmark):
             f"DSE transport={transport} workers={workers} diverged")
     assert baseline_cell["verdict_identical"], \
         "full-pickle baseline diverged from serial"
+    for name, entry in dse_gate["cells"].items():
+        if entry["enforced"]:
+            assert entry["ratio"] <= DSE_MAX_RATIO, (
+                f"DSE cell {name} took {entry['ratio']:.1f}x the serial "
+                f"run ({dse_serial_s:.3f}s); gate {DSE_MAX_RATIO}x")
     assert serial.crashes and serial.crashes[0].input_bytes[1] >= 0x80
     assert serial_s >= MIN_SERIAL_S, (
         f"serial baseline {serial_s:.2f}s below the {MIN_SERIAL_S}s "

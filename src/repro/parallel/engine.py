@@ -37,6 +37,7 @@ the serial engine but per-lease here.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
@@ -498,6 +499,9 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
             (executed, stats_sums, chain_depth, bugs,
              root_pending) = self._restore_checkpoint(state, report,
                                                       searcher)
+        # Every lease's modelled time, summed exactly (math.fsum) so the
+        # total does not depend on the order in which leases return.
+        modelled: List[float] = [report.modelled_time_s]
 
         def lease_budget_now() -> int:
             if self.lease_budget:
@@ -576,7 +580,7 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
                     outstanding -= 1
                     executed += res["executed"]
                     self._coverage.update(res["coverage"])
-                    report.modelled_time_s += res["modelled_dt"]
+                    modelled.append(res["modelled_dt"])
                     report.resilience.merge(res["resilience"])
                     for key in stats_sums:
                         stats_sums[key] += res["stats"][key]
@@ -621,12 +625,14 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
                     dispatch()
             if journal is not None and \
                     merged_envelopes >= self.checkpoint_every:
+                report.modelled_time_s = math.fsum(modelled)
                 self._write_checkpoint(journal, report, searcher,
                                        executed, stats_sums,
                                        chain_depth, bugs)
                 merged_envelopes = 0
 
         report.stop_reason = stop or "exhausted"
+        report.modelled_time_s = math.fsum(modelled)
         report.instructions = executed
         report.coverage = len(self._coverage)
         self._finalise_identity(report, bugs)

@@ -25,6 +25,7 @@ The merge *order* is still the global input order — identical verdicts.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -364,8 +365,9 @@ class ParallelFuzzer(PoolRecoveryMixin):
             return False
         for res in results:
             report.resets += res["resets"]
-            report.modelled_time_s += res["modelled_dt"]
             report.resilience.merge(res["resilience"])
+        report.modelled_time_s += math.fsum(
+            res["modelled_dt"] for res in results)
         for i in range(len(batch)):
             data_, edges, crash, pc = merged[i]
             self.scheduler.merge(report, data_, unpack_edges(edges),
@@ -388,6 +390,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
             shards += 1
         pool.stats.batches += 1
         merged: Dict[int, Tuple[bytes, bytes, Optional[str], int]] = {}
+        modelled: List[float] = []
         next_i = 0
         arrived = 0
         while arrived < shards:
@@ -402,7 +405,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
                         base=done, count=len(res["results"]),
                         blob=journal.put_blob(res))
                 report.resets += res["resets"]
-                report.modelled_time_s += res["modelled_dt"]
+                modelled.append(res["modelled_dt"])
                 report.resilience.merge(res["resilience"])
                 for index, data_, edges, crash, pc in res["results"]:
                     merged[index] = (data_, edges, crash, pc)
@@ -418,3 +421,6 @@ class ParallelFuzzer(PoolRecoveryMixin):
                                      unpack_edges(edges), crash, pc,
                                      done + next_i)
                 next_i += 1
+        # Exact sum: the total does not depend on the order in which the
+        # shards arrived, and matches the journal-replay path.
+        report.modelled_time_s += math.fsum(modelled)

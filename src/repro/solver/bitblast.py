@@ -36,6 +36,9 @@ class BitBlaster:
         self.sat.add_clause([lit(self._const_var, True)])
         self._cache: Dict[E.BitVec, List[Lit]] = {}
         self._var_bits: Dict[E.BitVec, List[int]] = {}
+        #: (dividend, divisor) -> (quotient, remainder): ``udiv`` and
+        #: ``urem`` of the same operands share one divider circuit.
+        self._divrem: Dict[tuple, tuple] = {}
 
     # -- literal helpers -----------------------------------------------------
 
@@ -220,6 +223,41 @@ class BitBlaster:
         remainder = [self._mux(b_is_zero, x, r) for x, r in zip(a, remainder)]
         return quotient, remainder
 
+    def _udivrem_const(self, a: List[Lit], c: int) -> tuple[List[Lit], List[Lit]]:
+        """Division by a nonzero constant *c*.
+
+        A power of two is a bit slice. Otherwise this is restoring
+        division with a ``c.bit_length() + 1``-bit remainder register:
+        the remainder stays below ``c`` after every stage, so the bits
+        above that are provably zero and are never encoded."""
+        width = len(a)
+        if c & (c - 1) == 0:
+            k = c.bit_length() - 1
+            return (a[k:] + [FALSE_LIT] * k,
+                    a[:k] + [FALSE_LIT] * (width - k))
+        n = c.bit_length()
+        divisor: List[Lit] = [TRUE_LIT if (c >> i) & 1 else FALSE_LIT
+                              for i in range(n + 1)]
+        quotient: List[Lit] = [FALSE_LIT] * width
+        remainder: List[Lit] = [FALSE_LIT] * n  # < c < 2**n
+        for i in range(width - 1, -1, -1):
+            shifted = [a[i]] + remainder  # < 2c, fits n + 1 bits
+            ge = self._neg(self._ult_words(shifted, divisor))
+            diff = self._sub_words(shifted, divisor)
+            remainder = [self._mux(ge, d, r)
+                         for d, r in zip(diff[:n], shifted[:n])]
+            quotient[i] = ge
+        return quotient, remainder + [FALSE_LIT] * (width - n)
+
+    def _udivrem(self, a: List[Lit], b: List[Lit]) -> tuple[List[Lit], List[Lit]]:
+        """The narrow divider when every divisor bit is a nonzero
+        constant, else the generic one."""
+        if all(bit is TRUE_LIT or bit is FALSE_LIT for bit in b):
+            c = sum(1 << i for i, bit in enumerate(b) if bit is TRUE_LIT)
+            if c:
+                return self._udivrem_const(a, c)
+        return self._udivrem_words(a, b)
+
     # -- expression lowering ----------------------------------------------------
 
     def blast(self, node: E.BitVec) -> List[Lit]:
@@ -269,10 +307,11 @@ class BitBlaster:
             return self._mul_words(args[0], args[1])
         if op == E.NEG:
             return self._negate_word(args[0])
-        if op == E.UDIV:
-            return self._udivrem_words(args[0], args[1])[0]
-        if op == E.UREM:
-            return self._udivrem_words(args[0], args[1])[1]
+        if op in (E.UDIV, E.UREM):
+            pair = self._divrem.get(node.args)
+            if pair is None:
+                pair = self._divrem[node.args] = self._udivrem(args[0], args[1])
+            return pair[0] if op == E.UDIV else pair[1]
         if op == E.AND:
             return [self._and(a, b) for a, b in zip(args[0], args[1])]
         if op == E.OR:

@@ -154,12 +154,17 @@ class BitVec:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, assignment: Mapping["BitVec", int]) -> int:
+    def evaluate(self, assignment: Mapping["BitVec", int],
+                 default: Optional[int] = None,
+                 memo: Optional[Dict[int, int]] = None) -> int:
         """Concretely evaluate under *assignment* (variable node -> int).
 
-        Raises :class:`SolverError` if a variable is unassigned.
+        A variable absent from *assignment* reads as *default*; with no
+        default, :class:`SolverError` is raised. *memo* (node id -> value)
+        may be shared by calls under the same assignment, so a DAG that
+        several expressions share is evaluated once.
         """
-        cache: Dict[int, int] = {}
+        cache: Dict[int, int] = {} if memo is None else memo
         # Iterative post-order evaluation: expression DAGs from long
         # symbolic executions can be deep enough to blow the stack.
         stack = [(self, False)]
@@ -171,9 +176,10 @@ class BitVec:
                 cache[id(node)] = node.value  # type: ignore[assignment]
                 continue
             if node.op == VAR:
-                if node not in assignment:
+                value = assignment.get(node, default)
+                if value is None:
                     raise SolverError(f"unassigned variable {node.name!r} in evaluate()")
-                cache[id(node)] = assignment[node] & _mask(node.width)
+                cache[id(node)] = value & _mask(node.width)
                 continue
             if not ready:
                 stack.append((node, True))

@@ -165,43 +165,66 @@ class SatSolver:
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self.prop_head < len(self.trail):
-            p = self.trail[self.prop_head]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The hot loop of the solver, so literal values and enqueueing
+        are inlined: a literal ``l`` is true when
+        ``assigns[l >> 1] == (l & 1 == 0)``.
+        """
+        assigns = self.assigns
+        trail = self.trail
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
+        propagations = 0
+        conflict: Optional[List[int]] = None
+        while self.prop_head < len(trail):
+            p = trail[self.prop_head]
             self.prop_head += 1
-            watchers = self.watches[p]
-            self.watches[p] = []
+            false_lit = p ^ 1
+            watchers = watches[p]
+            kept: List[List[int]] = []
+            watches[p] = kept
             i = 0
             n = len(watchers)
             while i < n:
                 clause = watchers[i]
                 i += 1
                 # Normalise: ensure the falsified watch is clause[1].
-                false_lit = p ^ 1
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if self._lit_value(first) is True:
-                    self.watches[p].append(clause)
+                value = assigns[first >> 1]
+                if value is not None and value == (first & 1 == 0):
+                    kept.append(clause)
                     continue
                 # Look for a new literal to watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1] ^ 1].append(clause)
-                        moved = True
+                    other = clause[k]
+                    value_k = assigns[other >> 1]
+                    if value_k is None or value_k == (other & 1 == 0):
+                        clause[1], clause[k] = other, false_lit
+                        watches[other ^ 1].append(clause)
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                self.watches[p].append(clause)
-                self.stats["propagations"] += 1
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers before returning.
-                    self.watches[p].extend(watchers[i:])
-                    return clause
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(clause)
+                    propagations += 1
+                    if value is not None:
+                        # Conflict: keep the remaining watchers.
+                        kept.extend(watchers[i:])
+                        conflict = clause
+                        break
+                    v = first >> 1
+                    assigns[v] = first & 1 == 0
+                    level[v] = depth
+                    reason[v] = clause
+                    trail.append(first)
+            if conflict is not None:
+                break
+        self.stats["propagations"] += propagations
+        return conflict
 
     # -- conflict analysis -----------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SolverError
 from repro.solver import expr as E
@@ -74,6 +74,10 @@ class Solver:
         self._recent_models: List[Dict[E.BitVec, int]] = []
         self._model_cache_size = model_cache_size
         self._simplify = simplify_queries
+        #: constraint -> simplify(constraint). A path condition is
+        #: re-normalised on every query, so most lookups hit; bounded
+        #: like the query cache.
+        self._simplified: Dict[E.BitVec, E.BitVec] = {}
         self.stats = SolverStats()
 
     # -- core API -------------------------------------------------------------
@@ -117,7 +121,7 @@ class Solver:
         result = self.check(constraints)
         if not result.is_sat:
             return None
-        return value.evaluate(_total_model(result.model, value))
+        return value.evaluate(result.model, default=0)
 
     def eval_upto(self, value: E.BitVec, constraints: Sequence[E.BitVec],
                   limit: int) -> List[int]:
@@ -161,7 +165,7 @@ class Solver:
             if c.width != 1:
                 raise SolverError(f"constraint must be boolean, got width {c.width}")
             if self._simplify:
-                c = simplify(c)
+                c = self._simplify_cached(c)
             if c.is_const:
                 if c.value == 0:
                     return None
@@ -169,6 +173,15 @@ class Solver:
             if c not in seen:
                 seen.add(c)
                 out.append(c)
+        return out
+
+    def _simplify_cached(self, c: E.BitVec) -> E.BitVec:
+        memo = self._simplified
+        out = memo.get(c)
+        if out is None:
+            out = memo[c] = simplify(c)
+            if len(memo) > self._query_cache_size:
+                del memo[next(iter(memo))]  # oldest entry
         return out
 
     def _check_uncached(self, conj: List[E.BitVec]) -> CheckResult:
@@ -209,24 +222,20 @@ class Solver:
                     model[v] = self._blaster.model_value(v)
         return model
 
-    def _model_satisfies(self, model: Dict[E.BitVec, int],
+    @staticmethod
+    def _model_satisfies(model: Dict[E.BitVec, int],
                          conj: List[E.BitVec]) -> bool:
-        try:
-            for c in conj:
-                if c.evaluate(_total_model(model, c)) != 1:
-                    return False
-        except SolverError:
-            return False
+        # One pass over the conjunction: the memo is shared by all its
+        # constraints, so a sub-DAG common to the path condition is
+        # evaluated once per model. The newest constraint (usually the
+        # branch condition) goes first, as it is the likeliest to fail.
+        memo: Dict[int, int] = {}
+        for c in reversed(conj):
+            if c.evaluate(model, default=0, memo=memo) != 1:
+                return False
         return True
 
     def _remember_model(self, model: Dict[E.BitVec, int]) -> None:
         self._recent_models.insert(0, model)
         del self._recent_models[self._model_cache_size:]
 
-
-def _total_model(model: Dict[E.BitVec, int], node: E.BitVec) -> Dict[E.BitVec, int]:
-    """Extend *model* with 0 for variables of *node* it does not assign."""
-    full = dict(model)
-    for v in node.variables():
-        full.setdefault(v, 0)
-    return full

@@ -2,7 +2,12 @@
 the headline property — parallel verdicts are byte-identical to serial
 ones, whatever the worker count."""
 
+import os
+import pathlib
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.peripherals import catalog
 from repro.solver import expr as E
 from repro.targets import FpgaTarget
 
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 UART = [(catalog.UART, UART_BASE)]
 SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 7])]
@@ -281,6 +287,47 @@ class TestEngineDeterminism:
         assert report.stop_reason == "bug-budget"
         assert len(report.bugs) >= 1
 
+    #: Hard bound for the check below: the campaign takes about a
+    #: second, so the bound only separates it from a worker whose cold
+    #: solver stalls on a query (``remu`` by a constant, for one).
+    HANG_BOUND_S = 60
+
+    def test_cold_workers_finish_dispatcher_6x8(self, tmp_path):
+        """dispatcher(6, 8) at 2 workers finishes with the serial
+        verdict. The campaign runs in its own process group, killed
+        after HANG_BOUND_S, so a hang fails the test instead of the
+        suite (no pytest-timeout needed)."""
+        serial = HardSnapSession(dispatcher(6, 8), TIMER).run(
+            max_instructions=100_000).verdict_summary()
+        script = (
+            "from repro.firmware import TIMER_BASE, dispatcher\n"
+            "from repro.parallel import ParallelAnalysisEngine\n"
+            "from repro.peripherals import catalog\n"
+            "with ParallelAnalysisEngine(dispatcher(6, 8),\n"
+            "        [(catalog.TIMER, TIMER_BASE)], workers=2) as engine:\n"
+            "    print(engine.run(max_instructions=100_000)"
+            ".verdict_summary())\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(SRC_DIR) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        out_path = tmp_path / "verdict.txt"
+        # Output to a file, not a pipe: the pool's workers inherit it.
+        with open(out_path, "w") as out:
+            proc = subprocess.Popen([sys.executable, "-c", script],
+                                    env=env, stdout=out,
+                                    stderr=subprocess.STDOUT,
+                                    start_new_session=True)
+            try:
+                proc.wait(timeout=self.HANG_BOUND_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                pytest.fail(f"parallel DSE did not finish in "
+                            f"{self.HANG_BOUND_S} s")
+        output = out_path.read_text()
+        assert proc.returncode == 0, output[-2000:]
+        assert output.rstrip("\n") == serial
+
     def test_pool_stats_show_delta_transfer(self):
         with ParallelAnalysisEngine(dispatcher(4, work_cycles=8), TIMER,
                                     workers=2,
@@ -311,6 +358,38 @@ class TestFuzzerDeterminism:
             report = fuzzer.run(executions=120)
         assert report.verdict_summary() == serial_verdict
         assert report.resets == 120
+
+    @staticmethod
+    def _modelled_time(arrival, monkeypatch):
+        """A 2-worker campaign whose two shards per batch reach the
+        merge one at a time, sorted by worker id (*arrival* = 1) or in
+        reverse (-1). A broad seed corpus makes the shards' modelled
+        times differ in many bits, so the order of a float sum shows."""
+        seeds = [bytes([0x01, n]) + bytes(range(n)) for n in range(0, 17, 2)]
+        seeds += [bytes([0x02, n]) for n in range(0, 32, 2)]
+        monkeypatch.setattr(WorkerPool, "drain_results", lambda self: [])
+        with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=seeds,
+                            workers=2, batch_size=32, seed=3) as fuzzer:
+            await_one = fuzzer._await_result
+            held = []
+
+            def await_sorted(timeout=None):
+                if not held:
+                    held.extend(sorted((await_one(), await_one()),
+                                       key=lambda r: arrival * r[1]))
+                return held.pop(0)
+
+            fuzzer._await_result = await_sorted
+            report = fuzzer.run(executions=1024)
+        return report.modelled_time_s, report.verdict_summary()
+
+    def test_modelled_time_independent_of_shard_arrival(self, monkeypatch):
+        """modelled_time_s is bit-identical whichever shard of a batch
+        arrives first, so repeated campaigns report the same figure."""
+        forward = self._modelled_time(1, monkeypatch)
+        backward = self._modelled_time(-1, monkeypatch)
+        assert forward[1] == backward[1]
+        assert forward[0].hex() == backward[0].hex()
 
     def test_workers_share_identical_boot_state(self):
         with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,

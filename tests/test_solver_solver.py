@@ -172,3 +172,80 @@ class TestQueryCacheLru:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(SolverError):
             Solver(query_cache_size=0)
+
+
+def _reference_replay(models, conj):
+    """Model-cache replay as per-constraint ``evaluate()`` calls, each on
+    its own copy of the model with absent variables read as 0."""
+    for model in models:
+        if all(c.evaluate({**{v: 0 for v in c.variables()}, **model}) == 1
+               for c in conj):
+            return model
+    return None
+
+
+def _dispatcher_queries(n=12):
+    """The branch queries of a symbolic ``remu cmd, cmd, 48`` followed by
+    an if-chain over the remainder, explored depth first."""
+    cmd = E.var("rp_cmd", 32)
+    sel = E.urem(cmd, E.const(48, 32))
+    path = []
+    for i in range(n):
+        hit = E.eq(sel, E.const(i, 32))
+        yield path + [hit]
+        yield path + [E.not_(hit)]
+        path = path + [E.not_(hit)]
+
+
+class TestModelReplay:
+    """The model cache replays a query's conjunction in one pass."""
+
+    def test_picks_the_same_model_as_per_constraint_replay(self):
+        solver = Solver()
+        hits = 0
+        for query in _dispatcher_queries():
+            conj = solver._normalise(query)
+            expected = _reference_replay(list(solver._recent_models), conj)
+            result = solver.check(query)
+            assert result.is_sat
+            if expected is None:
+                assert solver.stats.model_cache_hits == hits
+            else:
+                hits += 1
+                assert solver.stats.model_cache_hits == hits
+                assert result.model == expected
+        assert hits > 0
+
+    def test_evaluates_each_node_at_most_once_per_model(self, monkeypatch):
+        counts = {}
+        real_eval_op = E._eval_op
+
+        def counting(node, vals):
+            counts[id(node)] = counts.get(id(node), 0) + 1
+            return real_eval_op(node, vals)
+
+        monkeypatch.setattr(E, "_eval_op", counting)
+        solver = Solver()
+        replays = 0
+        for query in _dispatcher_queries():
+            conj = solver._normalise(query)
+            for model in list(solver._recent_models):
+                counts.clear()
+                solver._model_satisfies(model, conj)
+                replays += 1
+                assert max(counts.values(), default=0) <= 1
+            solver.check(query)
+        assert replays > 0
+
+    def test_absent_variables_read_as_zero(self):
+        x, y = E.var("rp_x", 8), E.var("rp_y", 8)
+        assert Solver._model_satisfies({x: 3}, [E.eq(x, E.const(3, 8)),
+                                                E.eq(y, E.const(0, 8))])
+        assert not Solver._model_satisfies({x: 3}, [E.eq(y, E.const(1, 8))])
+
+    def test_simplify_memo_is_bounded_by_the_query_cache(self):
+        solver = Solver(query_cache_size=4)
+        x = E.var("rp_memo", 8)
+        for i in range(20):
+            solver.check([E.not_(E.ult(x, E.const(i, 8)))])
+            assert len(solver._simplified) <= 4
