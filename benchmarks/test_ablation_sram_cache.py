@@ -9,7 +9,7 @@ on FPGA targets with the SRAM enabled and disabled, and additionally
 sweep the SRAM size to show the eviction regime in between.
 """
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import OUT_DIR, emit
 from repro.analysis import format_si_time, format_table
 from repro.core import HardSnapSession
 from repro.firmware import TIMER_BASE, dispatcher
@@ -32,6 +32,8 @@ def test_ablation_sram_cache(benchmark):
         "SRAM 1 kbit (thrashing)": 1024,
         "SRAM off (host only)": 1,
     }
+    # The committed table, read before this run overwrites it.
+    committed = (OUT_DIR / "ablation_sram_cache.txt").read_text()
     results = benchmark.pedantic(
         lambda: {name: _run(bits) for name, bits in configs.items()},
         rounds=1, iterations=1)
@@ -45,10 +47,15 @@ def test_ablation_sram_cache(benchmark):
             ip.sram_hits, ip.host_round_trips, ip.evictions,
             format_si_time(report.modelled_time_s),
         ])
-    emit("ablation_sram_cache", format_table(
+    table = format_table(
         ["configuration", "saves", "restores", "SRAM hits",
          "host round-trips", "evictions", "modelled time"],
-        rows, title="A1: snapshot SRAM cache ablation (dispatcher-8)"))
+        rows, title="A1: snapshot SRAM cache ablation (dispatcher-8)")
+    emit("ablation_sram_cache", table)
+    # Host-side speedups of the snapshot IP must leave every modelled
+    # number alone: each row (thrashing included) matches the committed
+    # table exactly.
+    assert table.splitlines() == committed.splitlines()
 
     default = results["SRAM 4 Mbit (default)"][0]
     thrash = results["SRAM 1 kbit (thrashing)"][0]

@@ -78,15 +78,14 @@ class SnapshotController:
         snapshot.parent_id = self._live_parent
         lineage_intact = epoch_before == self._live_epoch
         unchanged = self._unchanged_instances(snapshot, lineage_intact)
-        record = self.store.put(
+        # Hand out the store's interned (immutable, shared) payloads so
+        # per-fork clones are O(instances) instead of O(design).
+        record, snapshot.states = self.store.put(
             store_id, snapshot.states,
             bits_of=self._instance_bits(snapshot.states),
             parent_id=self._live_parent, method=snapshot.method,
             unchanged=unchanged)
         snapshot.record = record
-        # Hand out the store's interned (immutable, shared) payloads so
-        # per-fork clones are O(instances) instead of O(design).
-        snapshot.states = self.store.resolve(store_id)
         self._live_parent = store_id
         self._live_epoch = self.target.capture_epoch
         self.stats.saves += 1

@@ -38,7 +38,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import SnapshotError
 
@@ -164,8 +164,14 @@ class SnapshotStore:
             bits_of: Mapping[str, int],
             parent_id: Optional[int] = None,
             method: str = "direct",
-            unchanged: Iterable[str] = ()) -> SnapshotRecord:
-        """Store one snapshot; returns its record.
+            unchanged: Iterable[str] = ()
+            ) -> Tuple[SnapshotRecord, Dict[str, dict]]:
+        """Store one snapshot; returns ``(record, image)``.
+
+        ``image`` is what :meth:`resolve` would return for the new id —
+        the full canonical states rebuilt over the store's interned
+        (immutable, shared) chunk payloads — assembled from the maps this
+        call already resolved, so a save walks the delta chain once.
 
         ``states`` maps instance name to canonical state dict;
         ``bits_of`` gives each instance's state size in bits. Instances
@@ -245,7 +251,7 @@ class SnapshotStore:
         self.stats.chunks = len(self._chunks)
         self.stats.logical_bits += logical_bits
         self.stats.max_chain_depth = max(self.stats.max_chain_depth, depth)
-        return record
+        return record, self._image(digests, cycles)
 
     # -- restore path -------------------------------------------------------
 
@@ -291,7 +297,10 @@ class SnapshotStore:
         store's shared immutable chunks — callers must not mutate them.
         """
         self.stats.resolves += 1
-        digests, cycles = self._resolve_maps(self.record(snapshot_id))
+        return self._image(*self._resolve_maps(self.record(snapshot_id)))
+
+    def _image(self, digests: Mapping[str, str],
+               cycles: Mapping[str, int]) -> Dict[str, dict]:
         return {name: {"cycle": cycles[name],
                        **self._chunks[digest].payload}
                 for name, digest in digests.items()}

@@ -82,16 +82,19 @@ class ScanChainResult:
     design: ir.Design
     elements: List[ChainElement] = field(default_factory=list)
     excluded: List[ExcludedElement] = field(default_factory=list)
+    #: Total scanned bits — one scan rotation's cycle count. Summed once
+    #: here: the chain map is final when :func:`insert_scan_chain`
+    #: returns, and every save/restore prices its shift by this length.
+    chain_length: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.chain_length = sum(e.bits for e in self.elements)
 
     @property
     def excluded_memories(self) -> List[str]:
         """Memories left off the chain by the size limit (readback path)."""
         return [e.name for e in self.excluded
                 if e.kind == "mem" and e.reason == "memory-limit"]
-
-    @property
-    def chain_length(self) -> int:
-        return sum(e.bits for e in self.elements)
 
     # -- state <-> bitstream -----------------------------------------------------
     #

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.hdl.ir import Design, Memory, Net
+from repro.hdl.ir import Design, Memory
 
 
 class BaseSimulation:
@@ -33,6 +33,10 @@ class BaseSimulation:
         self.clock_name = clock
         if clock not in design.nets:
             raise SimulationError(f"design has no clock net {clock!r}")
+        #: net name -> width mask, built once: restores and pokes mask
+        #: every value they store.
+        self._masks: Dict[str, int] = {name: net.mask
+                                       for name, net in design.nets.items()}
         self.values: Dict[str, int] = {}
         self.memories: Dict[str, List[int]] = {}
         self.cycle = 0
@@ -60,15 +64,13 @@ class BaseSimulation:
 
     def poke(self, name: str, value: int) -> None:
         """Drive a primary input (or force any net) and settle."""
-        net = self._net(name)
-        self.values[name] = value & net.mask
+        self.values[name] = value & self._mask(name)
         self.state_version += 1
         self._settle()
 
     def poke_many(self, assignments: Dict[str, int]) -> None:
         for name, value in assignments.items():
-            net = self._net(name)
-            self.values[name] = value & net.mask
+            self.values[name] = value & self._mask(name)
         self.state_version += 1
         self._settle()
 
@@ -92,11 +94,11 @@ class BaseSimulation:
         self.memories[name][index] = value & mem.mask
         self.state_version += 1
 
-    def _net(self, name: str) -> Net:
-        net = self.design.nets.get(name)
-        if net is None:
+    def _mask(self, name: str) -> int:
+        mask = self._masks.get(name)
+        if mask is None:
             raise SimulationError(f"unknown net {name!r}")
-        return net
+        return mask
 
     def _memory(self, name: str) -> Memory:
         mem = self.design.memories.get(name)
@@ -158,8 +160,7 @@ class BaseSimulation:
         nets: Dict[str, int] = snapshot["nets"]  # type: ignore[assignment]
         mems: Dict[str, List[int]] = snapshot["memories"]  # type: ignore[assignment]
         for name, value in nets.items():
-            net = self._net(name)
-            self.values[name] = value & net.mask
+            self.values[name] = value & self._mask(name)
         for name, words in mems.items():
             mem = self._memory(name)
             if len(words) != mem.depth:

@@ -127,10 +127,12 @@ class PeripheralInstance:
     bus: object  # Axi4LiteMaster or WishboneMaster (same read/write API)
     region: Region
     extra: dict = field(default_factory=dict)  # target-specific (scan map…)
+    #: The design's state size in bits, summed once at hosting time
+    #: (every snapshot save reports it per instance).
+    state_bits: int = field(init=False)
 
-    @property
-    def state_bits(self) -> int:
-        return self.design.state_bit_count
+    def __post_init__(self) -> None:
+        self.state_bits = self.design.state_bit_count
 
     def irq(self) -> bool:
         if not self.spec.has_irq:

@@ -102,13 +102,12 @@ class TargetOrchestrator:
         # transfer are content-identical on both sides of the link, so
         # only the delta needs to travel.
         transfer_id = self.store.next_id()
-        record = self.store.put(
+        record, snapshot.states = self.store.put(
             transfer_id, snapshot.states,
             bits_of={name: src.instances[name].state_bits
                      for name in snapshot.states},
             parent_id=self._last_transfer_id, method=snapshot.method)
         snapshot.record = record
-        snapshot.states = self.store.resolve(transfer_id)
         self._last_transfer_id = transfer_id
         delta_bits = record.stored_bits
         # The state leaves the source's domain: a cross-target transfer

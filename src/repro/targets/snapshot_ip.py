@@ -48,6 +48,10 @@ class SnapshotIp:
         self._next_slot = 1
         # slot id -> bits, insertion-ordered for FIFO eviction.
         self._resident: "OrderedDict[int, int]" = OrderedDict()
+        #: Running total of ``_resident``'s values, kept in step with
+        #: every insert, eviction and forget so a save costs O(1) host
+        #: work however many snapshots the campaign has taken.
+        self._resident_bits = 0
         self._evicted: Dict[int, int] = {}
         self.stats = IpStats()
 
@@ -73,8 +77,9 @@ class SnapshotIp:
         self.stats.saves += 1
         cost = self.shift_cost_s(chain_bits)
         occupancy = chain_bits if stored_bits is None else stored_bits
-        while self._resident_bits() + occupancy > self.sram_bits and self._resident:
+        while self._resident_bits + occupancy > self.sram_bits and self._resident:
             old_slot, old_bits = self._resident.popitem(last=False)
+            self._resident_bits -= old_bits
             self._evicted[old_slot] = old_bits
             self.stats.evictions += 1
             cost += self.transport.bulk_latency_s(old_bits)
@@ -82,6 +87,7 @@ class SnapshotIp:
         self._next_slot += 1
         if occupancy <= self.sram_bits:
             self._resident[slot] = occupancy
+            self._resident_bits += occupancy
         else:
             # Pathological: one snapshot larger than the SRAM goes straight
             # to the host.
@@ -110,11 +116,8 @@ class SnapshotIp:
 
     def forget(self, slot: int) -> None:
         """Free a slot (snapshot no longer needed)."""
-        self._resident.pop(slot, None)
+        self._resident_bits -= self._resident.pop(slot, 0)
         self._evicted.pop(slot, None)
-
-    def _resident_bits(self) -> int:
-        return sum(self._resident.values())
 
     @property
     def resident_count(self) -> int:

@@ -73,7 +73,7 @@ def test_child_stores_only_changed_instances():
     states = {"a": _state(1), "b": _state(2)}
     store.put(1, states, {"a": 8, "b": 8})
     child = dict(states, a=_state(99))
-    record = store.put(2, child, {"a": 8, "b": 8}, parent_id=1)
+    record, _ = store.put(2, child, {"a": 8, "b": 8}, parent_id=1)
     assert not record.full
     assert set(record.chunk_map) == {"a"}
     assert record.stored_bits == 8  # only the new chunk
@@ -112,7 +112,7 @@ def test_cycle_only_movement_stores_no_new_chunks():
     s0 = {"cycle": 10, "nets": {"r": 5}, "memories": {}}
     s1 = {"cycle": 99, "nets": {"r": 5}, "memories": {}}  # idle, just later
     store.put(1, {"a": s0}, {"a": 8})
-    record = store.put(2, {"a": s1}, {"a": 8}, parent_id=1)
+    record, _ = store.put(2, {"a": s1}, {"a": 8}, parent_id=1)
     assert record.stored_bits == 0  # same register content, shared chunk
     assert store.resolve(1)["a"]["cycle"] == 10
     assert store.resolve(2)["a"]["cycle"] == 99

@@ -1,13 +1,24 @@
 """Hardware target tests: hosting, visibility, snapshot methods, the
 snapshot IP, and cross-target orchestration."""
 
+import hashlib
+import pickle
+from collections import OrderedDict
+from typing import Dict, Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bus.transport import USB3
+from repro.core import HardSnapSession
 from repro.errors import SnapshotError, TargetError
+from repro.firmware import dispatcher
+from repro.instrument.scan_chain import insert_scan_chain
 from repro.peripherals import catalog, timer
 from repro.targets import (FpgaTarget, SimulatorTarget, SnapshotIp,
                            TargetOrchestrator)
+from repro.targets.snapshot_ip import (COMMAND_OVERHEAD_CYCLES,
+                                       DEFAULT_SRAM_BITS, IpStats)
 
 TIMER_BASE = 0x4000_0000
 UART_BASE = 0x4001_0000
@@ -203,6 +214,166 @@ class TestSnapshotIp:
         s1, _ = ip.save(1000)
         ip.forget(s1)
         assert ip.resident_count == 0
+
+
+class _SumBasedIp:
+    """Reference model of the snapshot IP that re-sums SRAM occupancy on
+    every save — the straightforward accounting the running total in
+    :class:`SnapshotIp` must reproduce bit for bit."""
+
+    def __init__(self, clock_hz, transport, sram_bits):
+        self.clock_hz = clock_hz
+        self.transport = transport
+        self.sram_bits = sram_bits
+        self.next_slot = 1
+        self.resident: "OrderedDict[int, int]" = OrderedDict()
+        self.evicted: Dict[int, int] = {}
+        self.stats = IpStats()
+
+    def shift_cost_s(self, chain_bits):
+        return (chain_bits + COMMAND_OVERHEAD_CYCLES) / self.clock_hz
+
+    def save(self, chain_bits, stored_bits=None):
+        self.stats.saves += 1
+        cost = self.shift_cost_s(chain_bits)
+        occupancy = chain_bits if stored_bits is None else stored_bits
+        while (sum(self.resident.values()) + occupancy > self.sram_bits
+               and self.resident):
+            old_slot, old_bits = self.resident.popitem(last=False)
+            self.evicted[old_slot] = old_bits
+            self.stats.evictions += 1
+            cost += self.transport.bulk_latency_s(old_bits)
+        slot = self.next_slot
+        self.next_slot += 1
+        if occupancy <= self.sram_bits:
+            self.resident[slot] = occupancy
+        else:
+            self.evicted[slot] = occupancy
+            cost += self.transport.bulk_latency_s(occupancy)
+            self.stats.host_round_trips += 1
+        return slot, cost
+
+    def restore(self, slot: Optional[int], chain_bits):
+        self.stats.restores += 1
+        cost = self.shift_cost_s(chain_bits)
+        if slot is not None and slot in self.resident:
+            self.stats.sram_hits += 1
+            self.resident.move_to_end(slot)
+        else:
+            self.stats.host_round_trips += 1
+            stream_bits = self.evicted.get(slot, chain_bits) \
+                if slot is not None else chain_bits
+            cost += self.transport.bulk_latency_s(stream_bits)
+        return cost
+
+    def forget(self, slot):
+        self.resident.pop(slot, None)
+        self.evicted.pop(slot, None)
+
+
+class _NoScanDict(OrderedDict):
+    """Resident map that fails any whole-map walk: only keyed access,
+    ``move_to_end`` and ``popitem`` work."""
+
+    def values(self):
+        raise AssertionError("SRAM occupancy re-summed")
+
+    def __iter__(self):
+        raise AssertionError("SRAM resident map walked")
+
+
+def _ip_op(sram_bits):
+    size = st.integers(0, 2 * sram_bits + 2)
+    return st.one_of(
+        st.tuples(st.just("save"), size, st.none() | size),
+        st.tuples(st.just("restore"), st.integers(-1, 40), size),
+        st.tuples(st.just("forget"), st.integers(0, 40), st.just(0)))
+
+
+class TestSramOccupancyCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_sum_based_reference(self, data):
+        sram_bits = data.draw(st.one_of(
+            st.integers(1, 64), st.integers(1, DEFAULT_SRAM_BITS),
+            st.just(DEFAULT_SRAM_BITS)), label="sram_bits")
+        ops = data.draw(st.lists(_ip_op(sram_bits), max_size=60),
+                        label="ops")
+        ip = SnapshotIp(100e6, USB3, sram_bits=sram_bits)
+        ref = _SumBasedIp(100e6, USB3, sram_bits)
+        for op, a, b in ops:
+            if op == "save":
+                assert ip.save(a, stored_bits=b) == ref.save(a, stored_bits=b)
+            elif op == "restore":
+                slot = None if a < 0 else a  # never-issued ids included
+                assert ip.restore(slot, b) == ref.restore(slot, b)
+            else:
+                ip.forget(a)
+                ref.forget(a)
+            assert ip.stats == ref.stats
+            assert ip.resident_count == len(ref.resident)
+            assert list(ip._resident.items()) == list(ref.resident.items())
+            assert ip._resident_bits == sum(ip._resident.values())
+
+    def test_saves_never_rescan_resident_slots(self):
+        ip = SnapshotIp(100e6, USB3)
+        ip._resident = _NoScanDict()
+        for _ in range(10_000):
+            ip.save(100)
+        assert ip.resident_count == 10_000
+        assert ip.stats.evictions == 0
+        assert ip._resident_bits == 100 * 10_000
+
+    def test_eviction_pops_without_rescanning(self):
+        ip = SnapshotIp(100e6, USB3, sram_bits=1000)
+        ip._resident = _NoScanDict()
+        slots = [ip.save(300)[0] for _ in range(50)]
+        assert ip.stats.evictions == 47
+        assert ip.resident_count == 3
+        ip.restore(slots[-2], 300)  # SRAM hit: move_to_end only
+        ip.forget(slots[-1])
+        ip.save(700, stored_bits=600)  # evicts slots[-3] only
+        assert ip.stats.evictions == 48
+        assert ip._resident_bits == 300 + 600
+
+    @pytest.mark.parametrize("spec", catalog.EXTENDED_CORPUS,
+                             ids=lambda spec: spec.name)
+    def test_chain_length_cached_and_pickles(self, spec):
+        scan = insert_scan_chain(spec.elaborate())
+        assert scan.chain_length == sum(e.bits for e in scan.elements)
+        clone = pickle.loads(pickle.dumps(scan))
+        assert clone.chain_length == scan.chain_length
+
+
+class TestModelledIdentityAcrossScanModes:
+    """A context-switch-heavy campaign's modelled numbers are fixed by
+    the cost model alone: every scan mode reproduces the same verdict,
+    modelled time and snapshot-IP counters (pinned values; the 1 kbit
+    SRAM thrashes, covering FIFO eviction)."""
+
+    PINNED = {
+        DEFAULT_SRAM_BITS: (0.001902369999999992,
+                            IpStats(saves=135, restores=134, sram_hits=134,
+                                    host_round_trips=0, evictions=0)),
+        1024: (0.006461697499999963,
+               IpStats(saves=135, restores=134, sram_hits=81,
+                       host_round_trips=53, evictions=129)),
+    }
+
+    @pytest.mark.parametrize("sram_bits", sorted(PINNED))
+    @pytest.mark.parametrize("scan_mode",
+                             ["functional", "shift", "shift-perbit"])
+    def test_random_searcher_dispatcher(self, scan_mode, sram_bits):
+        target = FpgaTarget(scan_mode=scan_mode, sram_bits=sram_bits)
+        target.add_peripheral(catalog.TIMER, TIMER_BASE)
+        session = HardSnapSession(dispatcher(8, work_cycles=8), [],
+                                  target=target, searcher="random", seed=3)
+        report = session.run(max_instructions=60_000)
+        verdict = hashlib.blake2b(report.verdict_summary().encode(),
+                                  digest_size=8).hexdigest()
+        assert verdict == "01ae464e7a5f4568"
+        assert (report.modelled_time_s, target.ip.stats) == \
+            self.PINNED[sram_bits]
 
 
 class TestOrchestration:
