@@ -82,7 +82,6 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
                  config: Optional[SessionConfig] = None,
                  workers: int = 2,
                  lease_budget: int = 0,
-                 transport: str = "auto",
                  lease_batch: int = 4,
                  delta_state: bool = True,
                  journal: Optional[PathLike] = None,
@@ -95,7 +94,6 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         elif firmware is not None:
             self.recipe = SessionRecipe.create(firmware, peripherals,
                                                config=config,
-                                               transport=transport,
                                                delta_state=delta_state,
                                                **overrides)
         else:
@@ -184,14 +182,11 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
     def _pack_leases(self, payload: Dict[str, Any],
                      worker_id: int) -> bytes:
         """``pack`` hook for the pool: structured batch → envelope
-        bytes, with the transport's piggyback lane (shm acks owed to
-        this worker, chunk evictions it must learn about) taken at pack
-        time so a re-pack ships fresh bookkeeping."""
-        transport = self.pool.transport
+        bytes, with the eviction notices this worker must learn about
+        taken at pack time so a re-pack ships fresh bookkeeping."""
         peer = self._peer(worker_id)
         return pack_lease_batch(
-            payload["leases"], transport, worker_id,
-            acks=transport.take_acks(worker_id),
+            payload["leases"], worker_id,
             evictions=self.channel.take_evictions(peer),
             state_evictions=self.statewire.take_evictions(peer),
             statewire=self.statewire)
@@ -256,15 +251,13 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         dicts. Packed bytes come from real workers; the degraded
         InlinePool delivers the structured form directly."""
         if isinstance(data, (bytes, bytearray, memoryview)):
-            transport = self.pool.transport
             t0 = time.perf_counter()
-            acks, evictions, state_evictions, worker_enc, worker_dec, \
-                results = unpack_lease_results(data, transport, worker_id)
-            stats = transport.stats
-            stats.decode_s += time.perf_counter() - t0
-            stats.worker_encode_s += worker_enc
-            stats.worker_decode_s += worker_dec
-            transport.absorb_acks(worker_id, acks)
+            evictions, state_evictions, worker_enc, worker_dec, results = \
+                unpack_lease_results(data)
+            ipc = self.pool.stats.ipc
+            ipc.decode_s += time.perf_counter() - t0
+            ipc.worker_encode_s += worker_enc
+            ipc.worker_decode_s += worker_dec
             peer = self._peer(worker_id)
             self.channel.forget_remote(peer, evictions)
             self.statewire.forget_remote(peer, state_evictions)
@@ -278,11 +271,8 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         self.statewire.forget_peer(worker_id)
 
     def _readdress(self, payload, peer: object) -> None:
-        if not isinstance(payload, dict):
-            return
-        if payload.get("wire") is not None:  # legacy single-lease dict
-            payload["wire"] = self.channel.reencode(payload["wire"], peer)
-        for lease in payload.get("leases", ()):
+        # Every job this coordinator submits is a lease batch.
+        for lease in payload["leases"]:
             if lease.get("wire") is not None:
                 lease["wire"] = self.channel.reencode(lease["wire"], peer)
             if lease.get("state") is not None:

@@ -14,8 +14,7 @@ makes the run bit-identical to a serial run with the same ``batch_size``
 (see :meth:`~repro.core.fuzzer.FuzzReport.verdict_summary`), whatever
 the worker count.
 
-Shards travel as packed ``fuzz-batch`` envelopes over the pool's
-transport (shared-memory slabs by default), each worker gets one
+Shards travel as packed ``fuzz-batch`` envelopes, each worker gets one
 **contiguous** slice of the batch (one envelope per worker instead of
 round-robin message-per-input), and the coordinator merges **streamed**:
 as each shard lands, every result whose global index is next in line
@@ -67,7 +66,6 @@ class ParallelFuzzer(PoolRecoveryMixin):
                  seed: int = 0,
                  max_steps_per_exec: int = 20_000,
                  config: Optional[SessionConfig] = None,
-                 transport: str = "auto",
                  journal: Optional[PathLike] = None,
                  journal_fsync_every: int = DEFAULT_FSYNC_EVERY,
                  checkpoint_every: int = 8,
@@ -80,8 +78,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
         elif firmware is not None:
             self.recipe = SessionRecipe.create(
                 firmware, peripherals, config=config,
-                max_steps_per_exec=max_steps_per_exec, transport=transport,
-                **overrides)
+                max_steps_per_exec=max_steps_per_exec, **overrides)
         else:
             raise VmError("pass firmware or a prebuilt recipe")
         self.workers = workers
@@ -245,32 +242,22 @@ class ParallelFuzzer(PoolRecoveryMixin):
 
     # -- main loop ----------------------------------------------------------
 
-    def _pack_items(self, payload: Dict[str, Any],
-                    worker_id: int) -> bytes:
-        """``pack`` hook for the pool: shard dict → envelope bytes, with
-        shm acks owed to this worker piggybacked at pack time (a re-pack
-        ships fresh bookkeeping)."""
-        return pack_fuzz_batch(
-            payload["items"],
-            acks=self.pool.transport.take_acks(worker_id))
+    @staticmethod
+    def _pack_items(payload: Dict[str, Any], worker_id: int) -> bytes:
+        """``pack`` hook for the pool: shard dict → envelope bytes."""
+        return pack_fuzz_batch(payload["items"])
 
-    def _decode_shard(self, worker_id: int, data) -> Dict[str, Any]:
+    def _decode_shard(self, data) -> Dict[str, Any]:
         """One arrived shard → the structured result dict. Packed bytes
         come from real workers; the degraded InlinePool delivers the
-        structured form directly. The piggybacked shm acks are fed back
-        to the transport so the coordinator arena's slabs drain — fuzz
-        batches routinely clear the blob floor, so dropping acks would
-        leak a slab per batch for the whole campaign."""
+        structured form directly."""
         if isinstance(data, (bytes, bytearray, memoryview)):
-            transport = self.pool.transport
             t0 = time.perf_counter()
-            acks, _evictions, worker_enc, worker_dec, res = \
-                unpack_fuzz_results(data)
-            stats = transport.stats
-            stats.decode_s += time.perf_counter() - t0
-            stats.worker_encode_s += worker_enc
-            stats.worker_decode_s += worker_dec
-            transport.absorb_acks(worker_id, acks)
+            worker_enc, worker_dec, res = unpack_fuzz_results(data)
+            ipc = self.pool.stats.ipc
+            ipc.decode_s += time.perf_counter() - t0
+            ipc.worker_encode_s += worker_enc
+            ipc.worker_decode_s += worker_dec
             return res
         return data
 
@@ -398,7 +385,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
             results.extend(self.pool.drain_results())
             for _, worker_id, data in results:
                 arrived += 1
-                res = self._decode_shard(worker_id, data)
+                res = self._decode_shard(data)
                 if journal is not None:
                     journal.append(
                         "fuzz-shard-completed", worker=worker_id,

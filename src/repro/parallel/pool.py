@@ -2,35 +2,36 @@
 
 One process per worker, each with a private job queue (so the
 coordinator chooses *which* worker runs *which* lease — required for
-chunk-channel bookkeeping, since delta encoding is per-peer) and one
-shared result queue. Fork start method is preferred (workers inherit the
+chunk-channel bookkeeping, since delta encoding is per-peer) and a
+private result pipe. Fork start method is preferred (workers inherit the
 imported modules); spawn works too because every job payload and the
 recipe are plain picklable data.
 
-Bulk payloads travel through a pluggable :class:`Transport`
-(:mod:`repro.parallel.transport`): with the default shm transport,
-packed batch envelopes and snapshot chunk bodies move through
-shared-memory slabs and the queues carry fixed-size references; the
-queue transport keeps everything inline (automatic fallback when the
-host has no shared memory). Batch job kinds (``lease-batch`` /
-``fuzz-batch``) keep their *structured* payload in
-:class:`InFlightJob` next to a ``pack`` callable — packed bytes exist
-only on the queue, so the recovery ladder re-addresses and re-packs
-payloads exactly as it re-encoded dicts before.
+Every byte travels inline: batch job kinds (``lease-batch`` /
+``fuzz-batch``) keep their *structured* payload in :class:`InFlightJob`
+next to a ``pack`` callable, and the packed envelope
+(:mod:`repro.parallel.envelope`) exists only on the queue — so the
+recovery ladder re-addresses and re-packs payloads from the structured
+form.
+
+Each worker writes results to its own pipe. A worker killed mid-send
+can only break its own channel, which :meth:`WorkerPool.respawn`
+replaces along with its job queue; with one shared result queue, the
+dead writer would keep that queue's write lock forever and silence every
+successor.
 
 Every job carries a coordinator-assigned **job id**; the pool tracks
 jobs in flight, so:
 
-* :meth:`WorkerPool.next_result` polls worker liveness while waiting —
-  a dead worker raises a structured :class:`WorkerDeath` naming the
-  worker and its in-flight jobs instead of blocking forever,
+* :meth:`WorkerPool.next_result` watches the process sentinel of every
+  worker that owes a result — a dead worker raises a structured
+  :class:`WorkerDeath` naming the worker and its in-flight jobs instead
+  of blocking forever,
 * duplicate result deliveries (fault-injected, or a re-issue racing its
-  original) are discarded exactly once — *before* any shared-memory
-  fetch, so duplicates can never double-credit slab acks,
+  original) are discarded exactly once,
 * a crashed worker can be :meth:`respawned <WorkerPool.respawn>` and its
   in-flight jobs :meth:`resubmitted <WorkerPool.resubmit>` — respawn
-  also clears the dead incarnation's chunk-channel ``known`` entry and
-  unlinks its orphaned shm segments, and
+  also clears the dead incarnation's chunk-channel ``known`` entry, and
 * when the respawn cap is exhausted, :class:`InlinePool` offers the same
   surface executed in-process (graceful degradation to serial).
 """
@@ -40,39 +41,37 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import queue as queue_mod
-import secrets
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import VmError
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.shm import ShmSegmentGone, unlink_stale
 from repro.parallel.statewire import StateWireStats
-from repro.parallel.transport import IpcStats, Transport, make_transport
 from repro.parallel.wire import ChunkChannel, WireStats
 from repro.parallel.workers import _HARNESS_TYPES, STOP, _worker_main
 from repro.resilience import ResilienceStats
 
 #: Job kinds whose payloads/results are packed envelopes (bytes on the
-#: queue, possibly shm references); everything else stays a plain
-#: pickled object for compatibility and control traffic.
+#: wire); everything else stays a plain pickled object for control
+#: traffic.
 _BATCH_KINDS = ("lease-batch", "fuzz-batch")
 
 #: Every live WorkerPool, so signal handlers and interpreter exit can
-#: run the escalating close (child reaping + shm unlink) even when the
-#: owning coordinator never got the chance — the leak path SIGTERM used
-#: to take. Weak references: a pool that was garbage collected after
-#: close() needs no sweeping.
+#: run the escalating close (child reaping) even when the owning
+#: coordinator never got the chance — the leak path SIGTERM used to
+#: take. Weak references: a pool that was garbage collected after
+#: close() needs no reaping.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
 
 def close_all_pools(timeout: float = 2.0) -> int:
     """Escalatingly close every live pool (idempotent); returns how
     many were still open. Called by the shutdown signal path and
-    registered atexit as a last-resort shm sweep."""
+    registered atexit as a last-resort reaper."""
     closed = 0
     for pool in list(_LIVE_POOLS):
         if not pool._closed:
@@ -121,14 +120,43 @@ class InFlightJob:
     ``payload`` is always the structured form (dicts, SnapshotWires) so
     the recovery ladder can re-address it; ``pack`` (batch kinds only)
     turns it into envelope bytes at enqueue time — re-invoked on every
-    resubmit, so a re-issue gets fresh shm references and piggyback
-    acks rather than a stale copy."""
+    resubmit, so a re-issue ships fresh piggyback bookkeeping rather
+    than a stale copy."""
 
     worker_id: int
     kind: str
     payload: Any
     reissues: int = 0
     pack: Optional[Callable[[Any, int], bytes]] = None
+
+
+@dataclass
+class IpcStats:
+    """Envelope traffic between the coordinator and its workers."""
+
+    messages_out: int = 0
+    messages_in: int = 0
+    #: Packed envelope bytes sent to / received from workers.
+    queue_bytes_out: int = 0
+    queue_bytes_in: int = 0
+    #: Always 0 (every envelope travels inline); kept for readers that
+    #: sum them with the queue fields.
+    shm_bytes_out: int = 0
+    shm_bytes_in: int = 0
+    #: Wall time spent packing / unpacking envelopes, by side.
+    encode_s: float = 0.0
+    decode_s: float = 0.0
+    worker_encode_s: float = 0.0
+    worker_decode_s: float = 0.0
+
+    def merge(self, other: "IpcStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
+
+    def as_dict(self) -> Dict[str, object]:
+        return {name: round(value, 6) if isinstance(value, float) else value
+                for name, value in asdict(self).items()}
 
 
 @dataclass
@@ -145,10 +173,8 @@ class PoolStats:
     #: vs delta bytes, pages shipped/referenced, constraint suffixes.
     state_wire: StateWireStats = field(default_factory=StateWireStats)
     host_time_s: float = 0.0
-    #: Which transport moved the bulk bytes ("shm" or "queue").
-    transport: str = "queue"
-    #: Envelope/queue/shm byte + time accounting (coordinator side;
-    #: worker-side encode/decode times merge in from result envelopes).
+    #: Envelope byte + time accounting (coordinator side; worker-side
+    #: encode/decode times merge in from result envelopes).
     ipc: IpcStats = field(default_factory=IpcStats)
     #: Pool-boundary recovery events (respawns, reissues, duplicates,
     #: degraded flag); link-layer events merge in from the workers.
@@ -156,8 +182,7 @@ class PoolStats:
 
     def summary(self) -> str:
         lines = [f"[pool] workers={self.workers} leases={self.leases} "
-                 f"batches={self.batches} host={self.host_time_s:.3f}s "
-                 f"transport={self.transport}"]
+                 f"batches={self.batches} host={self.host_time_s:.3f}s"]
         if self.wire.snapshots_sent or self.wire.snapshots_received:
             lines.append(
                 f"[pool] snapshots shipped={self.wire.snapshots_sent} "
@@ -181,10 +206,8 @@ class PoolStats:
                 f"(delta x{sw.delta_ratio:.1f})")
         if self.ipc.messages_out or self.ipc.messages_in:
             lines.append(
-                f"[pool] ipc queue={self.ipc.queue_bytes_out}B out/"
+                f"[pool] ipc {self.ipc.queue_bytes_out}B out/"
                 f"{self.ipc.queue_bytes_in}B in "
-                f"shm={self.ipc.shm_bytes_out}B out/"
-                f"{self.ipc.shm_bytes_in}B in "
                 f"enc={self.ipc.encode_s + self.ipc.worker_encode_s:.3f}s "
                 f"dec={self.ipc.decode_s + self.ipc.worker_decode_s:.3f}s")
         if self.resilience.any:
@@ -195,12 +218,8 @@ class PoolStats:
 class WorkerPool:
     """N worker processes serving engine leases and fuzz batches."""
 
-    #: Result-queue poll slice; bounds how stale the liveness check can be.
-    _POLL_S = 0.05
-
     def __init__(self, recipe: SessionRecipe, workers: int,
                  start_method: Optional[str] = None,
-                 transport: Optional[str] = None,
                  channel: Optional[ChunkChannel] = None):
         if workers < 1:
             raise VmError(f"need at least one worker, got {workers}")
@@ -210,24 +229,18 @@ class WorkerPool:
         self._ctx = mp.get_context(start_method)
         self._recipe = recipe
         self.workers = workers
-        if transport is None:
-            transport = getattr(recipe, "transport", "auto")
-        #: Unique tag naming every shm segment of this run (coordinator
-        #: and workers alike) — lets respawn/close sweep orphans by
-        #: prefix even after their owner died without cleanup.
-        self.run_tag = secrets.token_hex(4)
-        self.transport: Transport = make_transport(
-            transport, label=f"{self.run_tag}-c0")
         #: The coordinator's chunk channel, when it ships delta wires
         #: (engine runs). respawn() clears the dead worker's known-set
         #: here so a fresh incarnation is never sent reference-only
         #: wires it cannot resolve.
         self.channel = channel
-        self.stats = PoolStats(workers=workers,
-                               transport=self.transport.kind,
-                               ipc=self.transport.stats)
+        self.stats = PoolStats(workers=workers)
         self._jobs = [self._ctx.Queue() for _ in range(workers)]
-        self._results = self._ctx.Queue()
+        #: Read end of each worker's result pipe; ``None`` once the
+        #: worker's end closed (it died) until respawn opens a new one.
+        self._results: List[Optional[Connection]] = [None] * workers
+        #: Messages read off the pipes but not yet accepted.
+        self._inbox: Deque[tuple] = deque()
         self._incarnations = [0] * workers
         self._job_seq = 0
         self._in_flight: Dict[int, InFlightJob] = {}
@@ -236,31 +249,33 @@ class WorkerPool:
         _LIVE_POOLS.add(self)
 
     def _spawn(self, worker_id: int) -> mp.Process:
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, self._recipe, self._jobs[worker_id],
-                  self._results, self._incarnations[worker_id],
-                  self.transport.kind, self.run_tag),
+            args=(worker_id, self._recipe, self._jobs[worker_id], writer,
+                  reader, self._incarnations[worker_id]),
             daemon=True, name=f"repro-worker-{worker_id}")
         proc.start()
+        # The worker now holds the only write end, so its death reads
+        # as EOF here.
+        writer.close()
+        self._results[worker_id] = reader
         return proc
 
     # -- job plumbing -------------------------------------------------------
 
-    def _encode_job(self, job_id: int, info: InFlightJob) -> Any:
+    def _encode_job(self, info: InFlightJob) -> Any:
         """Structured payload → the object that rides the queue. Batch
-        kinds pack to bytes (timed) and may land in shared memory."""
+        kinds pack to envelope bytes (timed)."""
         if info.pack is None:
             return info.payload
         t0 = time.perf_counter()
         blob = info.pack(info.payload, info.worker_id)
-        stats = self.transport.stats
-        stats.encode_s += time.perf_counter() - t0
-        stats.messages_out += 1
-        queued = self.transport.place_blob(blob, info.worker_id)
-        if isinstance(queued, (bytes, bytearray, memoryview)):
-            stats.queue_bytes_out += len(queued)
-        return queued
+        ipc = self.stats.ipc
+        ipc.encode_s += time.perf_counter() - t0
+        ipc.messages_out += 1
+        ipc.queue_bytes_out += len(blob)
+        return blob
 
     def submit(self, worker_id: int, kind: str, payload: Any,
                pack: Optional[Callable[[Any, int], bytes]] = None) -> int:
@@ -269,15 +284,13 @@ class WorkerPool:
         job_id = self._job_seq
         info = InFlightJob(worker_id, kind, payload, pack=pack)
         self._in_flight[job_id] = info
-        self._jobs[worker_id].put((kind, job_id,
-                                   self._encode_job(job_id, info)))
+        self._jobs[worker_id].put((kind, job_id, self._encode_job(info)))
         return job_id
 
     def _accept(self, message) -> Optional[Tuple[str, int, Any]]:
-        """Common result handling: duplicate drop (before any shm
-        fetch), error re-raise, batch-envelope blob fetch. Returns the
-        ``(kind, worker_id, data)`` triple or ``None`` to keep waiting.
-        """
+        """Common result handling: duplicate drop, error re-raise, batch
+        envelope accounting. Returns the ``(kind, worker_id, data)``
+        triple or ``None`` to keep waiting."""
         kind, worker_id, job_id, data = message
         info = self._in_flight.pop(job_id, None)
         if info is None:
@@ -286,51 +299,64 @@ class WorkerPool:
         if kind == "error":
             raise WorkerError(f"worker {worker_id} failed:\n{data}",
                               worker_id=worker_id, jobs=(job_id,))
-        if info.kind in _BATCH_KINDS and isinstance(
-                data, (bytes, bytearray, memoryview, tuple)):
-            stats = self.transport.stats
-            try:
-                data = self.transport.fetch_blob(data, worker_id)
-            except ShmSegmentGone:
-                # The referenced segment died with its worker before we
-                # could read it: treat as a lost result — the job goes
-                # back in flight and the deadline/respawn ladder
-                # recovers it (a respawned worker re-executes and ships
-                # fresh segments).
-                self._in_flight[job_id] = info
-                return None
-            stats.messages_in += 1
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                stats.queue_bytes_in += len(data)
+        if info.kind in _BATCH_KINDS:
+            self.stats.ipc.messages_in += 1
+            self.stats.ipc.queue_bytes_in += len(data)
         return kind, worker_id, data
+
+    def _receive(self, timeout: Optional[float]) -> bool:
+        """Wait up to *timeout* for a result message or for the death of
+        a worker that owes one; move every message that is ready into
+        the inbox. Returns whether any message arrived."""
+        readers = {conn: worker_id
+                   for worker_id, conn in enumerate(self._results)
+                   if conn is not None}
+        owing = {info.worker_id for info in self._in_flight.values()}
+        sentinels = [self._procs[worker_id].sentinel for worker_id in owing]
+        received = False
+        for ready in wait([*readers, *sentinels], timeout):
+            worker_id = readers.get(ready)
+            if worker_id is None:
+                continue  # a sentinel: _check_liveness names the death
+            try:
+                self._inbox.append(ready.recv())
+                received = True
+            except (EOFError, OSError):
+                # The worker exited, perhaps mid-send: its channel is
+                # finished until respawn opens a new one.
+                ready.close()
+                self._results[worker_id] = None
+        return received
 
     def next_result(self, timeout: Optional[float] = None
                     ) -> Tuple[str, int, Any]:
         """Blocking wait for the next worker result.
 
-        Polls worker liveness while waiting: a dead worker with jobs in
-        flight raises :class:`WorkerDeath` (naming worker and leases)
-        instead of hanging forever; a missed *timeout* (all workers
-        alive) raises :class:`PoolTimeout`; a worker-reported exception
-        re-raises as :class:`WorkerError` with the remote traceback.
-        Duplicate deliveries of an already-answered job are discarded.
+        Watches the liveness of every worker that owes a result: a dead
+        worker with jobs in flight raises :class:`WorkerDeath` (naming
+        worker and leases) instead of hanging forever; a missed
+        *timeout* (all workers alive) raises :class:`PoolTimeout`; a
+        worker-reported exception re-raises as :class:`WorkerError` with
+        the remote traceback. Duplicate deliveries of an
+        already-answered job are discarded.
         """
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         while True:
-            try:
-                message = self._results.get(timeout=self._POLL_S)
-            except queue_mod.Empty:
-                self._check_liveness()
-                if deadline is not None and time.monotonic() >= deadline:
-                    jobs = tuple(sorted(self._in_flight))
-                    raise PoolTimeout(
-                        f"no worker result within {timeout:.1f}s; "
-                        f"jobs in flight: {list(jobs)}", jobs=jobs)
+            while self._inbox:
+                accepted = self._accept(self._inbox.popleft())
+                if accepted is not None:
+                    return accepted
+            remaining = (None if deadline is None
+                         else max(0.0, deadline - time.monotonic()))
+            if self._receive(remaining):
                 continue
-            accepted = self._accept(message)
-            if accepted is not None:
-                return accepted
+            self._check_liveness()
+            if deadline is not None and time.monotonic() >= deadline:
+                jobs = tuple(sorted(self._in_flight))
+                raise PoolTimeout(
+                    f"no worker result within {timeout:.1f}s; "
+                    f"jobs in flight: {list(jobs)}", jobs=jobs)
 
     def drain_results(self) -> List[Tuple[str, int, Any]]:
         """Non-blocking sweep of every already-delivered result — the
@@ -339,13 +365,12 @@ class WorkerPool:
         decode cost of any of it."""
         drained: List[Tuple[str, int, Any]] = []
         while True:
-            try:
-                message = self._results.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
+            while self._inbox:
+                accepted = self._accept(self._inbox.popleft())
+                if accepted is not None:
+                    drained.append(accepted)
+            if not self._receive(0):
                 return drained
-            accepted = self._accept(message)
-            if accepted is not None:
-                drained.append(accepted)
 
     def _check_liveness(self) -> None:
         for worker_id, proc in enumerate(self._procs):
@@ -399,19 +424,15 @@ class WorkerPool:
     def respawn(self, worker_id: int) -> List[int]:
         """Replace a dead (or wedged) worker with a fresh process under
         the next incarnation number. The worker gets a **fresh** job
-        queue: a process killed while blocked in ``get()`` dies holding
-        the queue's reader lock, which would wedge its successor — and
+        queue and result pipe: a process killed while blocked in
+        ``get()`` dies holding the job queue's reader lock, which would
+        wedge its successor, and a result it died sending is torn — and
         any queued copies of in-flight jobs are stale anyway (their
         delta wires were encoded against the dead incarnation's chunk
         pool) and must be re-encoded and :meth:`resubmit`-ted by the
-        caller.
-
-        Everything the dead incarnation held dies with it: its chunk
-        pool (the channel's ``known`` entry is cleared so the fresh
-        incarnation is never sent unresolvable reference-only wires),
-        its outstanding shm references (cancelled, so its slabs cannot
-        wedge the arena) and its own orphaned shm segments (swept by
-        run-tag prefix — the dead owner cannot unlink them).
+        caller. The dead incarnation's chunk pool dies with it: the
+        channel's ``known`` entry is cleared so the fresh incarnation is
+        never sent unresolvable reference-only wires.
 
         Returns the worker's in-flight job ids."""
         proc = self._procs[worker_id]
@@ -420,18 +441,11 @@ class WorkerPool:
             proc.join(1.0)
         old = self._jobs[worker_id]
         self._jobs[worker_id] = self._ctx.Queue()
-        self._drain(old)
-        try:
-            old.close()
-            old.cancel_join_thread()
-        except (OSError, ValueError):
-            pass
+        self._close_queue(old)
+        if self._results[worker_id] is not None:
+            self._results[worker_id].close()
         if self.channel is not None:
             self.channel.known.pop(worker_id, None)
-        self.transport.forget_peer(worker_id)
-        unlink_stale(
-            f"rpr-{self.run_tag}-w{worker_id}"
-            f"i{self._incarnations[worker_id]}-")
         self._incarnations[worker_id] += 1
         self._procs[worker_id] = self._spawn(worker_id)
         self.stats.resilience.worker_respawns += 1
@@ -442,31 +456,36 @@ class WorkerPool:
         """Re-queue an in-flight job (after a respawn or a missed
         deadline). The payload must already be re-addressed by the
         caller when it carries a delta wire; batch kinds are re-packed
-        (fresh envelope, fresh shm references)."""
+        into a fresh envelope."""
         info = self._in_flight[job_id]
         if worker_id is not None:
             info.worker_id = worker_id
         info.reissues += 1
         self._jobs[info.worker_id].put(
-            (info.kind, job_id, self._encode_job(job_id, info)))
+            (info.kind, job_id, self._encode_job(info)))
         self.stats.resilience.lease_reissues += 1
 
     # -- lifecycle ----------------------------------------------------------
 
     @staticmethod
-    def _drain(queue) -> None:
+    def _close_queue(queue) -> None:
+        """Drain and close a job queue so its feeder thread cannot wedge
+        interpreter exit."""
         try:
             while True:
                 queue.get_nowait()
         except (queue_mod.Empty, OSError, ValueError):
             pass
+        try:
+            queue.close()
+            queue.cancel_join_thread()
+        except (OSError, ValueError):
+            pass
 
     def close(self, timeout: float = 5.0) -> None:
-        """Shut the pool down: STOP sentinels, then join → terminate →
-        kill escalation, then drain the queues so their feeder threads
-        cannot wedge interpreter exit, then release the transport and
-        sweep every shm segment carrying this run's tag (a worker that
-        died before its own cleanup leaves orphans only until here).
+        """Shut the pool down: STOP sentinels, close the result pipes
+        (a worker still sending sees a broken pipe and exits), then
+        join → terminate → kill escalation, then drain the job queues.
         Idempotent, and safe when workers already crashed (joining a
         dead process is a no-op)."""
         if self._closed:
@@ -478,6 +497,9 @@ class WorkerPool:
                 queue.put_nowait(STOP)
             except (OSError, ValueError):
                 pass
+        for conn in self._results:
+            if conn is not None:
+                conn.close()
         deadline = time.monotonic() + timeout
         for proc in self._procs:
             try:
@@ -494,16 +516,10 @@ class WorkerPool:
                 kill = getattr(proc, "kill", proc.terminate)
                 kill()
                 proc.join(1.0)
-        for queue in [*self._jobs, self._results]:
-            self._drain(queue)
-            try:
-                queue.close()
-                queue.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
+        for queue in self._jobs:
+            self._close_queue(queue)
+        self._inbox.clear()
         self._in_flight.clear()
-        self.transport.close()
-        unlink_stale(f"rpr-{self.run_tag}-")
 
     def __enter__(self) -> "WorkerPool":
         return self

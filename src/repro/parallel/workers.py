@@ -3,7 +3,7 @@
 Each worker process owns a complete private analysis stack — target,
 solver, snapshot store, engine — rebuilt from the coordinator's
 :class:`~repro.parallel.recipe.SessionRecipe`. Work arrives as jobs on a
-queue; results go back on a shared queue. Two harnesses:
+queue; results go back on the worker's own pipe. Two harnesses:
 
 * :class:`EngineWorker` — executes state *leases*
   (:meth:`~repro.core.engine.AnalysisEngine.run_lease`): restore the
@@ -21,6 +21,7 @@ and import-light so it survives ``spawn`` start methods.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import signal
 import struct
@@ -38,7 +39,6 @@ from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
                                      unpack_lease_batch)
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import KIND_FULL, StateWire
-from repro.parallel.transport import Transport, make_transport
 from repro.parallel.wire import ChunkChannel
 from repro.resilience import FaultInjector
 from repro.targets.base import HwSnapshot
@@ -252,22 +252,22 @@ _ORPHAN_POLL_S = 2.0
 
 
 def _worker_main(worker_id: int, recipe: SessionRecipe,
-                 jobs, results, incarnation: int = 0,
-                 transport_kind: str = "queue", run_tag: str = "") -> None:
+                 jobs, results, results_reader,
+                 incarnation: int = 0) -> None:
     """Worker process entry point: build harnesses lazily, serve jobs
     until the STOP sentinel arrives. Any exception is reported to the
     coordinator as an ``("error", id, job_id, traceback)`` message
     rather than killing the process silently.
 
-    Jobs arrive as ``(kind, job_id, payload)``; results leave as
-    ``(kind, worker_id, job_id, data)``. The batch kinds
-    (``lease-batch`` / ``fuzz-batch``) carry packed envelopes — bytes
-    or shm references, per *transport_kind* — everything else stays
-    plain pickled objects. The worker owns one transport endpoint
-    (arena label ``{run_tag}-w{worker_id}i{incarnation}``): payload
-    refs it consumes turn into acks riding its result envelopes, and
-    its own arena is unlinked on STOP (a killed worker's segments are
-    swept by the coordinator under the run tag instead).
+    Jobs arrive on the *jobs* queue as ``(kind, job_id, payload)``;
+    results leave on the *results* pipe as ``(kind, worker_id, job_id,
+    data)``, pickled here so a result that cannot be pickled reports
+    as an error. The batch kinds (``lease-batch`` / ``fuzz-batch``)
+    carry packed envelope bytes; everything else stays plain pickled
+    objects. *results_reader* is the coordinator's end of the pipe,
+    inherited across ``fork``: closing it here means a coordinator
+    that dies turns a blocked send into a broken pipe instead of a
+    hang.
 
     Completed envelopes are cached by job id so a re-issued job (the
     coordinator missed our answer) is answered from the cache instead
@@ -291,54 +291,61 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
     # coordinator can drain gracefully, die on SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    results_reader.close()
     harnesses: Dict[str, Any] = {}
     plan = getattr(recipe.config, "fault_plan", None)
     injector = (FaultInjector(plan, scope="pool")
                 if plan is not None and not plan.is_empty else None)
-    completed: "OrderedDict[int, tuple]" = OrderedDict()
+    completed: "OrderedDict[int, bytes]" = OrderedDict()
     job_index = 0
-    transport: Transport = make_transport(
-        transport_kind, label=f"{run_tag}-w{worker_id}i{incarnation}")
 
     def harness(kind: str):
         if kind not in harnesses:
             harnesses[kind] = _HARNESS_TYPES[kind](recipe)
         return harnesses[kind]
 
-    def run_lease_batch(payload) -> Any:
-        blob = transport.fetch_blob(payload, COORD)
+    def run_lease_batch(blob: bytes) -> bytes:
         t0 = time.perf_counter()
-        acks, evictions, state_evictions, leases = \
-            unpack_lease_batch(blob, transport, COORD)
+        evictions, state_evictions, leases = unpack_lease_batch(blob)
         decode_s = time.perf_counter() - t0
-        transport.absorb_acks(COORD, acks)
         engine = harness("engine")
         engine.channel.forget_remote(COORD, evictions)
         engine.statewire.forget_remote(COORD, state_evictions)
         outcomes = [engine.run_lease(lease) for lease in leases]
         t0 = time.perf_counter()
         packed = bytearray(pack_lease_results(
-            outcomes, transport, COORD,
-            acks=transport.take_acks(COORD),
+            outcomes,
             evictions=engine.channel.take_evictions(COORD),
             state_evictions=engine.statewire.take_evictions(COORD),
-            encode_s=0.0, decode_s=decode_s))
+            decode_s=decode_s))
         stamp_encode_time(packed, time.perf_counter() - t0)
-        return transport.place_blob(bytes(packed), COORD)
+        return bytes(packed)
 
-    def run_fuzz_batch(payload) -> Any:
-        blob = transport.fetch_blob(payload, COORD)
+    def run_fuzz_batch(blob: bytes) -> bytes:
         t0 = time.perf_counter()
-        acks, _evictions, items = unpack_fuzz_batch(blob)
+        items = unpack_fuzz_batch(blob)
         decode_s = time.perf_counter() - t0
-        transport.absorb_acks(COORD, acks)
         res = harness("fuzz").run_batch({"items": items})
         t0 = time.perf_counter()
-        packed = bytearray(pack_fuzz_results(
-            res, acks=transport.take_acks(COORD),
-            encode_s=0.0, decode_s=decode_s))
+        packed = bytearray(pack_fuzz_results(res, decode_s=decode_s))
         stamp_encode_time(packed, time.perf_counter() - t0)
-        return transport.place_blob(bytes(packed), COORD)
+        return bytes(packed)
+
+    def execute(kind: str, payload) -> Any:
+        if kind == "warm":
+            harness(payload["kind"])
+            return None
+        if kind == "lease":
+            return harness("engine").run_lease(payload)
+        if kind == "lease-batch":
+            return run_lease_batch(payload)
+        if kind == "fuzz":
+            return harness("fuzz").run_batch(payload)
+        if kind == "fuzz-batch":
+            return run_fuzz_batch(payload)
+        if kind == "boot-digests":
+            return harness("fuzz").boot_digests()
+        raise ValueError(f"unknown job kind {kind!r}")
 
     parent_pid = os.getppid()
     while True:
@@ -346,59 +353,48 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
             job = jobs.get(timeout=_ORPHAN_POLL_S)
         except queue.Empty:
             # No STOP will ever come from a dead coordinator (SIGKILL
-            # skips every cleanup path): a reparented worker unlinks
-            # its arena and exits instead of orphaning forever with
-            # the coordinator's pipes held open.
+            # skips every cleanup path): a reparented worker exits
+            # instead of orphaning forever with the coordinator's pipes
+            # held open.
             if os.getppid() != parent_pid:
                 break
             continue
         if job == STOP:
             break
         kind, job_id, payload = job
+        sends = 1
         try:
-            cached = completed.get(job_id)
-            if cached is not None:
-                # Re-issued job we already ran: resend, never re-execute.
-                results.put(cached)
-                continue
-            if kind in ("lease", "fuzz", "lease-batch", "fuzz-batch"):
-                index = job_index
-                job_index += 1
-                if (injector is not None
-                        and injector.should_kill(worker_id, index,
-                                                 incarnation)):
-                    os._exit(17)
-            if kind == "warm":
-                harness(payload["kind"])
-                envelope = ("warmed", worker_id, job_id, None)
-            elif kind == "lease":
-                envelope = ("lease", worker_id, job_id,
-                            harness("engine").run_lease(payload))
-            elif kind == "lease-batch":
-                envelope = ("lease-batch", worker_id, job_id,
-                            run_lease_batch(payload))
-            elif kind == "fuzz":
-                envelope = ("fuzz", worker_id, job_id,
-                            harness("fuzz").run_batch(payload))
-            elif kind == "fuzz-batch":
-                envelope = ("fuzz-batch", worker_id, job_id,
-                            run_fuzz_batch(payload))
-            elif kind == "boot-digests":
-                envelope = ("boot-digests", worker_id, job_id,
-                            harness("fuzz").boot_digests())
-            else:
-                raise ValueError(f"unknown job kind {kind!r}")
-            completed[job_id] = envelope
-            while len(completed) > _COMPLETED_CACHE:
-                completed.popitem(last=False)
-            if injector is not None and injector.roll(
-                    f"result_loss:w{worker_id}", plan.result_loss_rate):
-                continue  # cached above; the re-issue will resend it
-            results.put(envelope)
-            if injector is not None and injector.roll(
-                    f"result_dup:w{worker_id}", plan.result_dup_rate):
-                results.put(envelope)
-        except BaseException:
-            results.put(("error", worker_id, job_id,
-                         traceback.format_exc()))
-    transport.close()
+            message = completed.get(job_id)
+            if message is None:
+                if kind in ("lease", "fuzz", "lease-batch", "fuzz-batch"):
+                    index = job_index
+                    job_index += 1
+                    if (injector is not None
+                            and injector.should_kill(worker_id, index,
+                                                     incarnation)):
+                        os._exit(17)
+                data = execute(kind, payload)
+                message = pickle.dumps(
+                    ("warmed" if kind == "warm" else kind,
+                     worker_id, job_id, data),
+                    protocol=pickle.HIGHEST_PROTOCOL)
+                completed[job_id] = message
+                while len(completed) > _COMPLETED_CACHE:
+                    completed.popitem(last=False)
+                if injector is not None:
+                    if injector.roll(f"result_loss:w{worker_id}",
+                                     plan.result_loss_rate):
+                        sends = 0  # cached; the re-issue will resend it
+                    elif injector.roll(f"result_dup:w{worker_id}",
+                                       plan.result_dup_rate):
+                        sends = 2
+            # else: a re-issued job we already ran — resend, never
+            # re-execute.
+        except Exception:
+            message = pickle.dumps(("error", worker_id, job_id,
+                                    traceback.format_exc()))
+        try:
+            for _ in range(sends):
+                results.send_bytes(message)
+        except OSError:
+            break  # the coordinator closed its end: nobody is listening

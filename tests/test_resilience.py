@@ -285,6 +285,44 @@ class TestWorkerPool:
             assert kind == "lease" and worker_id == 0
             assert res["executed"] > 0
 
+    def test_respawn_cycle_stress(self):
+        """kill → respawn → resubmit, over and over. The kill lands
+        while the worker waits for the job, while it executes, or while
+        it streams a result larger than the pipe buffer; a worker killed
+        mid-send must never silence its successor (a shared result queue
+        kept the dead writer's lock held forever). A wall-clock alarm
+        bounds every trial — and the pool's close — so a wedged channel
+        fails the test instead of hanging the suite."""
+        trials = int(os.environ.get("REPRO_RESPAWN_TRIALS", "30"))
+        trial_s = 30
+        big = bytes(1 << 20)  # the result echoes it: far above 64 KiB
+
+        def expire(signum, frame):
+            raise TimeoutError(f"respawn trial exceeded {trial_s}s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        try:
+            with WorkerPool(self._recipe(), workers=1) as pool:
+                for trial in range(trials):
+                    signal.setitimer(signal.ITIMER_REAL, trial_s, trial_s)
+                    pool.warm("fuzz")
+                    job = pool.submit(0, "fuzz", {"items": [(trial, big)]})
+                    time.sleep(0.1 * (trial % 3))
+                    os.kill(pool._procs[0].pid, signal.SIGKILL)
+                    pool._procs[0].join(trial_s)
+                    assert not pool._procs[0].is_alive(), trial
+                    with pytest.raises(WorkerDeath):
+                        pool.next_result(timeout=trial_s)
+                    assert pool.respawn(0) == [job], trial
+                    pool.resubmit(job)
+                    kind, _, res = pool.next_result(timeout=trial_s)
+                    assert kind == "fuzz", trial
+                    assert res["results"][0][:2] == (trial, big), trial
+                assert pool.stats.resilience.worker_respawns == trials
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_worker_errors_still_carry_remote_traceback(self):
         with WorkerPool(self._recipe(), workers=1) as pool:
             pool.submit(0, "no-such-job", {})
