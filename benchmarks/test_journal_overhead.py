@@ -17,19 +17,25 @@ Two properties are asserted:
   cores for the cell): best-of-N wall time with the journal on stays
   within ``MAX_OVERHEAD_PCT`` of journal-off.  The event log is
   synchronous but cheap (one flushed JSON frame per event); blob bodies
-  ride the journal's background writer thread, which overlaps the
-  coordinator's idle wait on worker shards — given a spare core.
+  are appended to the one ``blobs.pack`` file on the coordinator's
+  thread, one buffered write and flush per blob, with an fsync for
+  each checkpoint.
+
+The coordinator's own CPU seconds (``getrusage(RUSAGE_SELF)`` around
+``run``; workers are child processes and not counted) are recorded for
+both cells too: the wall ratio is dominated by checkpoint fsync waits,
+so the CPU the journal costs the coordinator is reported separately.
 
 Emits ``benchmarks/out/BENCH_journal.json``; CI reads the gate back.
 """
 
 import os
-import pathlib
-import tempfile
+import resource
 import time
 
 from benchmarks.conftest import emit, emit_json
 from repro.core import SnapshotFuzzer
+from repro.core.journal import Journal
 from repro.firmware import TIMER_BASE, fuzz_packet_parser
 from repro.isa import assemble
 from repro.parallel import ParallelFuzzer
@@ -76,15 +82,23 @@ def _scaled_executions(probe_s: float) -> int:
     return min(batches * BATCH, MAX_EXECUTIONS)
 
 
+def _cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _cell(executions, journal_dir=None):
+    """One campaign: ``(report, wall seconds, coordinator CPU s)``."""
     with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
                         workers=WORKERS, batch_size=BATCH, seed=3,
                         journal=journal_dir) as fuzzer:
         fuzzer.warm()  # target elaboration out of the timed region
+        cpu0 = _cpu_s()
         start = time.perf_counter()
         report = fuzzer.run(executions=executions)
         elapsed = time.perf_counter() - start
-    return report, elapsed
+        cpu = _cpu_s() - cpu0
+    return report, elapsed, cpu
 
 
 def test_journal_overhead(tmp_path):
@@ -92,22 +106,27 @@ def test_journal_overhead(tmp_path):
     executions = _scaled_executions(probe_s)
 
     off_best = on_best = None
+    off_cpu, on_cpu = [], []
     journal_stats = None
     for round_ in range(ROUNDS):  # interleaved: noise hits both cells
-        report, elapsed = _cell(executions)
+        report, elapsed, cpu = _cell(executions)
+        off_cpu.append(cpu)
         if off_best is None or elapsed < off_best[1]:
             off_best = (report, elapsed)
         journal_dir = tmp_path / f"journal-{round_}"
-        report, elapsed = _cell(executions, journal_dir=journal_dir)
+        report, elapsed, cpu = _cell(executions, journal_dir=journal_dir)
+        on_cpu.append(cpu)
         if on_best is None or elapsed < on_best[1]:
             on_best = (report, elapsed)
         journal_stats = {
             "events_log_bytes": (journal_dir / "events.log").stat().st_size,
-            "blob_count": len(list((journal_dir / "blobs").iterdir())),
+            "blob_count": len(Journal.open(journal_dir,
+                                           readonly=True).blobs),
         }
 
     off_report, off_s = off_best
     on_report, on_s = on_best
+    cpu_off_s, cpu_on_s = min(off_cpu), min(on_cpu)
     overhead_pct = (on_s / off_s - 1.0) * 100.0
     identical = on_report.verdict_summary() == off_report.verdict_summary()
 
@@ -133,6 +152,8 @@ def test_journal_overhead(tmp_path):
         f"  overhead    : {overhead_pct:+.1f}% "
         f"(gate < {MAX_OVERHEAD_PCT:.0f}%, "
         f"{'enforced' if gate['enforced'] else 'skipped'})",
+        f"  coord. CPU  : {cpu_off_s:.3f} s off, {cpu_on_s:.3f} s on "
+        f"({cpu_on_s - cpu_off_s:+.3f} s, best of {ROUNDS})",
         f"  verdict     : {'identical' if identical else 'DIVERGED'}",
         f"  journal     : {journal_stats['events_log_bytes']} log bytes, "
         f"{journal_stats['blob_count']} blobs",
@@ -148,6 +169,9 @@ def test_journal_overhead(tmp_path):
         "journal_off_s": off_s,
         "journal_on_s": on_s,
         "overhead_pct": overhead_pct,
+        "coordinator_cpu_off_s": cpu_off_s,
+        "coordinator_cpu_on_s": cpu_on_s,
+        "coordinator_cpu_rounds": {"off": off_cpu, "on": on_cpu},
         "verdict_identical": identical,
         "journal": journal_stats,
         "gate": gate,

@@ -5,14 +5,14 @@ respawn/reissue/degrade ladder survives *worker* death, but a
 coordinator crash, OOM-kill or Ctrl-C lost the whole campaign. This
 module is the durability tier underneath the parallel coordinators: an
 append-only event log recording every campaign-level transition, with
-the content-addressed blob store as the payload layer (the log holds
+a content-addressed blob pack as the payload layer (the log holds
 digests, never bodies).
 
 Layout::
 
-    <journal>/events.log      framed, per-record-checksummed event log
-    <journal>/blobs/<digest>  content-addressed pickles (checkpoints,
-                              shard results, the campaign recipe)
+    <journal>/events.log   framed, per-record-checksummed event log
+    <journal>/blobs.pack   append-only pack of content-addressed pickles
+                           (checkpoints, shard results, the recipe)
 
 **Record framing.** Each record is ``4-byte LE payload length ·
 16-byte blake2b(payload) checksum · payload`` where the payload is
@@ -21,9 +21,16 @@ flushed per record (so a SIGKILL'd coordinator loses nothing the OS
 already has) and fsync'd every ``fsync_every`` records — checkpoints,
 campaign open and seal always fsync, so a power cut can only cost
 events *after* the last checkpoint, which resume re-executes anyway.
-Blob *bodies* ride a background writer thread (checkpoint blobs write
-through synchronously): the log's ordering and flush guarantees never
-depend on blob durability, because a referenced-but-missing or torn
+
+**Blob pack.** A blob is one frame of ``blobs.pack``, framed exactly
+like a record, so the frame checksum *is* the blob's content address
+(its hex is the digest events carry). Each put is flushed before it
+returns — before the event that references it is appended — and an
+``fsync=True`` put (checkpoints, the campaign recipe) also fsyncs the
+pack before the checkpoint record is committed. A body that is already
+indexed is never appended again. Opening builds the
+``digest → (offset, length)`` index from the frame headers alone;
+:meth:`Journal.get_blob` re-hashes the body it reads, so a rotten
 blob is detected at read time and resume falls back to re-execution.
 
 **Recovery semantics** (:meth:`Journal.open`):
@@ -37,7 +44,13 @@ blob is detected at read time and resume falls back to re-execution.
 * an *interior* record fails its checksum (bit rot, tampering — records
   follow it, so this was never an interrupted append):
   :class:`~repro.errors.JournalCorruptError` naming the byte offset.
-  Resume refuses to guess what a damaged history meant.
+  Resume refuses to guess what a damaged history meant;
+* the pack ends mid-frame (a header, or a length running past EOF):
+  the torn frame is truncated the same way, recorded on
+  :attr:`Journal.pack_recovery` and, for writable opens, as a
+  ``pack-recovered`` event. Pack damage never makes a journal
+  unopenable — rot inside a body fails only that blob's read, and a
+  blob that ends up unindexed counts as missing.
 
 **Checkpoint + event suffix.** Coordinators write periodic ``checkpoint``
 records whose blob holds the full resumable state (DSE frontier /
@@ -65,24 +78,24 @@ import json
 import os
 import pathlib
 import pickle
-import queue
 import signal
 import struct
-import threading
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.store import FileBlobStore, blob_digest
 from repro.errors import JournalCorruptError, JournalError
 
 PathLike = Union[str, pathlib.Path]
 
-#: events.log frame header: 4-byte LE payload length + 16-byte checksum.
+#: Frame header (events.log records and blobs.pack blobs alike): 4-byte
+#: LE payload length + 16-byte checksum.
 _LEN = struct.Struct("<I")
 _DIGEST_SIZE = 16
 _HEADER_SIZE = _LEN.size + _DIGEST_SIZE
 
 #: Journal format version, carried by the first record of every log.
-FORMAT_VERSION = 1
+#: Version 2 stores blobs in ``blobs.pack``; version 1 (one file per
+#: blob under ``blobs/``) is refused.
+FORMAT_VERSION = 2
 
 #: Default append→fsync batching (checkpoints always fsync).
 DEFAULT_FSYNC_EVERY = 16
@@ -139,34 +152,57 @@ def read_frames(data: bytes) -> Iterator[tuple]:
         offset = end
 
 
+def index_pack(path: pathlib.Path) -> Tuple[Dict[str, Tuple[int, int]],
+                                            int, int]:
+    """Index ``blobs.pack`` by walking its frame headers (bodies are
+    skipped, not hashed): returns ``(digest → (body offset, length),
+    intact end, file size)``. The walk stops at a torn frame — a partial
+    header or a length running past EOF — so ``intact end < file size``
+    means the tail from there on is unindexed."""
+    index: Dict[str, Tuple[int, int]] = {}
+    if not path.exists():
+        return index, 0, 0
+    size = path.stat().st_size
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            header = fh.read(_HEADER_SIZE)
+            if len(header) < _HEADER_SIZE:
+                break
+            (length,) = _LEN.unpack_from(header)
+            end = offset + _HEADER_SIZE + length
+            if end > size:
+                break
+            index.setdefault(header[_LEN.size:].hex(),
+                             (offset + _HEADER_SIZE, length))
+            fh.seek(end)
+            offset = end
+    return index, offset, size
+
+
 class Journal:
-    """One campaign's append-only, checksummed event log + blob store."""
+    """One campaign's append-only, checksummed event log + blob pack."""
 
     def __init__(self, directory: PathLike, fsync_every: int =
                  DEFAULT_FSYNC_EVERY, readonly: bool = False):
         self.directory = pathlib.Path(directory)
         self.path = self.directory / "events.log"
-        self.blobs = FileBlobStore(self.directory / "blobs")
+        self.pack_path = self.directory / "blobs.pack"
+        #: Pack index: blob digest → (body offset, body length).
+        self.blobs: Dict[str, Tuple[int, int]] = {}
         self.fsync_every = max(1, fsync_every)
         self.readonly = readonly
         self.records: List[Dict[str, Any]] = []
         #: Torn-tail recovery info from :meth:`open` (``None`` when the
         #: log was intact): ``{"truncated_at": offset, "dropped": n}``.
         self.recovery: Optional[Dict[str, int]] = None
+        #: The same for ``blobs.pack``.
+        self.pack_recovery: Optional[Dict[str, int]] = None
         self._fh = None
+        self._pack = None
         self._seq = 0
         self._unsynced = 0
         self._appended = 0
-        # Background blob writer (started lazily by the first relaxed
-        # put_blob). The event log stays synchronous — ordering and the
-        # SIGKILL flush guarantee live there — but blob bodies are
-        # content-addressed with a verified-or-fallback read path, so
-        # their file I/O can ride a side thread off the coordinator's
-        # merge loop. A blob lost to a crash before the thread drained
-        # it means resume re-executes that shard: sound, never silent.
-        self._blob_queue: Optional[queue.Queue] = None
-        self._blob_thread: Optional[threading.Thread] = None
-        self._blob_error: Optional[Exception] = None
         kill_after = os.environ.get(KILL_AFTER_ENV, "")
         self._kill_after = int(kill_after) if kill_after else 0
 
@@ -184,6 +220,7 @@ class Journal:
                 f"(repro resume) instead of overwriting")
         journal.directory.mkdir(parents=True, exist_ok=True)
         journal._fh = open(journal.path, "ab")
+        journal._pack = open(journal.pack_path, "wb")
         journal.append("journal-opened", version=FORMAT_VERSION)
         journal.commit()
         return journal
@@ -194,9 +231,11 @@ class Journal:
              readonly: bool = False) -> "Journal":
         """Open an existing journal, recovering a torn tail.
 
-        Interior corruption raises :class:`JournalCorruptError`; a torn
-        tail is truncated (writable opens persist the truncation and
-        log a ``tail-recovered`` event so the repair is never silent).
+        Interior corruption of the event log raises
+        :class:`JournalCorruptError`; a torn tail of the log or of the
+        pack is truncated (writable opens persist the truncation and
+        log a ``tail-recovered`` / ``pack-recovered`` event so the
+        repair is never silent).
         """
         journal = cls(directory, fsync_every=fsync_every,
                       readonly=readonly)
@@ -229,26 +268,35 @@ class Journal:
         version = journal.records[0].get("version")
         if version != FORMAT_VERSION:
             raise JournalError(
-                f"unsupported journal format {version!r}")
+                f"unsupported journal format {version!r} (this build "
+                f"reads format {FORMAT_VERSION} only)")
+        journal.blobs, pack_end, pack_size = index_pack(journal.pack_path)
+        if pack_end < pack_size:
+            journal.pack_recovery = {"truncated_at": pack_end,
+                                     "dropped": pack_size - pack_end}
         if readonly:
             return journal
-        if journal.recovery is not None:
-            with open(journal.path, "r+b") as fh:
-                fh.truncate(good_end)
-                fh.flush()
-                os.fsync(fh.fileno())
+        for path, end, torn in ((journal.path, good_end, journal.recovery),
+                                (journal.pack_path, pack_end,
+                                 journal.pack_recovery)):
+            if torn is not None:
+                with open(path, "r+b") as fh:
+                    fh.truncate(end)
+                    fh.flush()
+                    os.fsync(fh.fileno())
         journal._fh = open(journal.path, "ab")
+        journal._pack = open(journal.pack_path, "ab")
         if journal.recovery is not None:
             journal.append("tail-recovered", **journal.recovery)
-            journal.commit()
+        if journal.pack_recovery is not None:
+            journal.append("pack-recovered", **journal.pack_recovery)
+        journal.commit()
         return journal
 
     def close(self) -> None:
-        if self._blob_thread is not None:
-            self._blob_queue.put(None)
-            self._blob_thread.join()
-            self._blob_thread = None
-            self._blob_queue = None
+        if self._pack is not None:
+            self._pack.close()
+            self._pack = None
         if self._fh is not None:
             self.commit()
             self._fh.close()
@@ -262,16 +310,19 @@ class Journal:
 
     # -- appending ----------------------------------------------------------
 
-    def append(self, kind: str, **fields: Any) -> int:
-        """Append one event record; returns its sequence number.
-
-        Fields must be JSON-serialisable — anything heavier goes to the
-        blob store first and rides as a digest (:meth:`put_blob`).
-        """
+    def _writable(self) -> None:
         if self._fh is None:
             raise JournalError(
                 "journal is closed or readonly" if self.readonly
                 else "journal is closed")
+
+    def append(self, kind: str, **fields: Any) -> int:
+        """Append one event record; returns its sequence number.
+
+        Fields must be JSON-serialisable — anything heavier goes to the
+        blob pack first and rides as a digest (:meth:`put_blob`).
+        """
+        self._writable()
         self._seq += 1
         record = {"seq": self._seq, "kind": kind, **fields}
         payload = json.dumps(record, sort_keys=True,
@@ -299,61 +350,45 @@ class Journal:
     # -- blobs --------------------------------------------------------------
 
     def put_blob(self, obj: Any, fsync: bool = False) -> str:
-        """Pickle *obj* into the content-addressed blob store; returns
-        the digest an event record carries in the object's place.
+        """Pickle *obj* into the blob pack; returns the digest an event
+        record carries in the object's place.
 
-        Relaxed puts (``fsync=False``) hand the file write to the
-        background writer thread and return once the digest is known —
-        the caller's event record can reference it immediately, and a
-        crash that loses the body only costs resume a re-execution.
-        ``fsync=True`` (checkpoints) drains the writer first, then
-        writes through to stable storage before returning.
+        The frame is flushed before this returns, so the event that
+        references it can never reach the OS first. ``fsync=True``
+        (checkpoints) also forces the pack to stable storage — the
+        caller commits the referencing record after it.
         """
+        self._writable()
         data = pickle.dumps(obj)
-        digest = blob_digest(data)
+        checksum = _checksum(data)
+        digest = checksum.hex()
+        if digest not in self.blobs:
+            offset = self._pack.tell() + _HEADER_SIZE
+            self._pack.write(_LEN.pack(len(data)) + checksum)
+            self._pack.write(data)
+            self._pack.flush()
+            self.blobs[digest] = (offset, len(data))
         if fsync:
-            self.flush_blobs()
-            self.blobs.put(data, fsync=True)
-            return digest
-        if self._blob_thread is None:
-            self._blob_queue = queue.Queue()
-            self._blob_thread = threading.Thread(
-                target=self._blob_writer_loop,
-                name="journal-blob-writer", daemon=True)
-            self._blob_thread.start()
-        self._blob_queue.put((digest, data))
+            os.fsync(self._pack.fileno())
         return digest
 
-    def _blob_writer_loop(self) -> None:
-        while True:
-            item = self._blob_queue.get()
-            try:
-                if item is None:
-                    return
-                _digest, data = item
-                try:
-                    self.blobs.put(data)
-                except Exception as exc:  # surfaced by flush_blobs
-                    self._blob_error = exc
-            finally:
-                self._blob_queue.task_done()
-
-    def flush_blobs(self) -> None:
-        """Wait until every queued blob body has landed on disk;
-        re-raises (as :class:`JournalError`) a write failure the
-        background thread hit."""
-        if self._blob_queue is not None:
-            self._blob_queue.join()
-        if self._blob_error is not None:
-            exc, self._blob_error = self._blob_error, None
-            raise JournalError(
-                f"background blob write failed: {exc}") from exc
-
     def get_blob(self, digest: str) -> Any:
-        """Load + verify one blob (raises
-        :class:`JournalCorruptError` on checksum mismatch)."""
-        self.flush_blobs()
-        return pickle.loads(self.blobs.get(digest))
+        """Load + verify one blob. Raises :class:`JournalCorruptError`
+        when the body no longer hashes to its digest, or when the pack
+        does not index it at all (lost to a torn tail)."""
+        entry = self.blobs.get(digest)
+        if entry is None:
+            raise JournalCorruptError(
+                f"blob {digest} is not in {self.pack_path}", digest=digest)
+        offset, length = entry
+        with open(self.pack_path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read(length)
+        if _checksum(data).hex() != digest:
+            raise JournalCorruptError(
+                f"blob {digest} at byte offset {offset} of "
+                f"{self.pack_path} fails verification", digest=digest)
+        return pickle.loads(data)
 
     # -- reading ------------------------------------------------------------
 

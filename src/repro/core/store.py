@@ -345,73 +345,3 @@ class SnapshotStore:
                 self.stats.stored_bits -= freed.bits
         self.stats.chunks = len(self._chunks)
 
-
-# ---------------------------------------------------------------------------
-# Persistent blob storage (the campaign journal's payload layer)
-# ---------------------------------------------------------------------------
-
-def blob_digest(data: bytes) -> str:
-    """Content address of one opaque blob (same blake2b-16 keyspace as
-    :func:`chunk_digest`, but over raw bytes — journal checkpoint and
-    shard-result payloads are pickles, not canonical state dicts)."""
-    return hashlib.blake2b(bytes(data), digest_size=16).hexdigest()
-
-
-class FileBlobStore:
-    """Content-addressed blobs on disk: ``<dir>/<digest>`` per blob.
-
-    The durable sibling of the in-memory chunk pool, used by
-    :mod:`repro.core.journal` so the event log holds digests while the
-    bodies live here. Writes are atomic (temp file + ``os.replace`` in
-    the same directory) and idempotent — a digest that already exists is
-    never rewritten, which is what gives cross-checkpoint dedup: a
-    corpus entry or frontier chunk that survives unchanged between
-    checkpoints is stored once. Reads verify the content address, so a
-    torn or tampered blob can never be returned as valid data.
-    """
-
-    def __init__(self, directory) -> None:
-        import pathlib
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, digest: str):
-        return self.directory / digest
-
-    def __contains__(self, digest: str) -> bool:
-        return self._path(digest).exists()
-
-    def put(self, data: bytes, fsync: bool = False) -> str:
-        """Store *data*; returns its digest. ``fsync`` forces the blob
-        to disk before the rename lands (checkpoint blobs must be
-        durable *before* the journal record referencing them)."""
-        import os
-        digest = blob_digest(data)
-        path = self._path(digest)
-        if path.exists():
-            return digest
-        tmp = path.with_name(f".{digest}.tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return digest
-
-    def get(self, digest: str) -> bytes:
-        """Fetch and verify one blob; raises
-        :class:`~repro.errors.JournalCorruptError` when the body no
-        longer hashes to its name (rot, torn write by a pre-atomic
-        version) and :class:`SnapshotError` when it is absent."""
-        from repro.errors import JournalCorruptError
-        path = self._path(digest)
-        if not path.exists():
-            raise SnapshotError(f"unknown blob {digest!r}")
-        data = path.read_bytes()
-        actual = blob_digest(data)
-        if actual != digest:
-            raise JournalCorruptError(
-                f"blob {digest} fails verification: body hashes to "
-                f"{actual}", digest=digest)
-        return data

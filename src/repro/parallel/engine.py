@@ -494,16 +494,21 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         modelled: List[float] = [report.modelled_time_s]
 
         def lease_budget_now() -> int:
-            if self.lease_budget:
-                return self.lease_budget
-            return 0  # to fork/completion
+            # Never more than the campaign has left: a path that never
+            # forks must still stop at the budget, as the serial loop
+            # does (0 would mean "run to fork or completion").
+            left = max(1, max_instructions - executed)
+            return min(self.lease_budget, left) if self.lease_budget \
+                else left
 
         def dispatch() -> None:
             """Feed every idle worker from the searcher, coalescing up
             to ``lease_batch`` leases per envelope (spread evenly so one
-            worker never hoards the backlog while others starve)."""
+            worker never hoards the backlog while others starve). Once
+            the budget is spent nothing more is leased, even between
+            two envelopes of one merge pass."""
             nonlocal outstanding, batches_out
-            while idle and len(searcher):
+            while idle and len(searcher) and executed < max_instructions:
                 share = -(-len(searcher) // len(idle))  # ceil
                 take = min(self.lease_batch, max(1, share), len(searcher))
                 states = [searcher.pop_next(None) for _ in range(take)]

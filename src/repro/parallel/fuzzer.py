@@ -335,12 +335,9 @@ class ParallelFuzzer(PoolRecoveryMixin):
             return False
         results = []
         for event in shards:
-            digest = event["blob"]
-            if digest not in journal.blobs:
-                return False
             try:
-                results.append(journal.get_blob(digest))
-            except JournalCorruptError:
+                results.append(journal.get_blob(event["blob"]))
+            except JournalCorruptError:  # rotten or never packed
                 return False
         merged: Dict[int, Tuple[bytes, bytes, Optional[str], int]] = {}
         for res in results:

@@ -16,11 +16,10 @@ import pytest
 
 from repro.core import HardSnapSession, SnapshotFuzzer
 from repro.core.journal import (FORMAT_VERSION, Journal, config_fingerprint,
-                                read_frames)
+                                index_pack, read_frames)
 from repro.core.shutdown import (graceful_shutdown, request_shutdown, reset,
                                  shutdown_requested)
-from repro.core.store import FileBlobStore, blob_digest
-from repro.errors import JournalCorruptError, JournalError, SnapshotError
+from repro.errors import JournalCorruptError, JournalError
 from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
 from repro.isa import assemble
 from repro.parallel import (ParallelAnalysisEngine, ParallelFuzzer,
@@ -110,6 +109,15 @@ def _crash_campaign(tmp_path, mode, workers, kill_after):
     return journal
 
 
+def _flip_blob_byte(journal_dir, digest, at=0):
+    """Rot one byte of blob *digest*'s body inside ``blobs.pack``."""
+    pack = journal_dir / "blobs.pack"
+    offset, length = index_pack(pack)[0][digest]
+    data = bytearray(pack.read_bytes())
+    data[offset + at % length] ^= 0xFF
+    pack.write_bytes(bytes(data))
+
+
 # ---------------------------------------------------------------------------
 # Framing, blobs, corruption
 # ---------------------------------------------------------------------------
@@ -142,20 +150,39 @@ class TestFraming:
             digest = journal.put_blob(payload)
             assert journal.put_blob(payload) == digest  # content address
             assert journal.get_blob(digest) == payload
-        # one file per distinct body
-        assert len(list((tmp_path / "j" / "blobs").iterdir())) == 1
+        # one frame per distinct body
+        pack = (tmp_path / "j" / "blobs.pack").read_bytes()
+        assert len(list(read_frames(pack))) == 1
 
     def test_corrupt_blob_detected(self, tmp_path):
         with Journal.create(tmp_path / "j") as journal:
             digest = journal.put_blob({"state": 1}, fsync=True)
-            (tmp_path / "j" / "blobs" / digest).write_bytes(b"rotten")
+            _flip_blob_byte(tmp_path / "j", digest)
             with pytest.raises(JournalCorruptError):
                 journal.get_blob(digest)
 
     def test_missing_blob_raises(self, tmp_path):
-        store = FileBlobStore(tmp_path / "b")
-        with pytest.raises(SnapshotError):
-            store.get(blob_digest(b"never stored"))
+        with Journal.create(tmp_path / "j") as journal:
+            with pytest.raises(JournalCorruptError) as err:
+                journal.get_blob("00" * 16)
+        assert err.value.digest == "00" * 16
+
+    def test_interior_blob_rot_fails_only_that_blob(self, tmp_path):
+        """Damage stays local: rot inside one interior frame's body
+        leaves the journal openable and every other blob readable."""
+        payloads = [{"blob": i, "pad": bytes(64)} for i in range(3)]
+        with Journal.create(tmp_path / "j") as journal:
+            digests = [journal.put_blob(p) for p in payloads]
+        _flip_blob_byte(tmp_path / "j", digests[1], at=7)
+        journal = Journal.open(tmp_path / "j")
+        assert journal.pack_recovery is None
+        assert set(journal.blobs) == set(digests)
+        assert journal.get_blob(digests[0]) == payloads[0]
+        assert journal.get_blob(digests[2]) == payloads[2]
+        with pytest.raises(JournalCorruptError) as err:
+            journal.get_blob(digests[1])
+        assert err.value.digest == digests[1]
+        journal.close()
 
     def test_interior_corruption_names_offset(self, tmp_path):
         with Journal.create(tmp_path / "j") as journal:
@@ -177,20 +204,23 @@ class TestFraming:
     def test_unsupported_version_rejected(self, tmp_path):
         with Journal.create(tmp_path / "j") as journal:
             pass
-        # rewrite the log with a bumped version record
-        other = tmp_path / "k"
-        other.mkdir()
+        # rewrite the log with a bumped version record, and with
+        # format 1 (one file per blob under blobs/), which must be
+        # refused rather than misread as a pack holding no blobs
         import json as _json
-        payload = _json.dumps(
-            {"seq": 1, "kind": "journal-opened", "version": 99},
-            sort_keys=True, separators=(",", ":")).encode()
         import hashlib as _hashlib
-        frame = (len(payload).to_bytes(4, "little")
-                 + _hashlib.blake2b(payload, digest_size=16).digest()
-                 + payload)
-        (other / "events.log").write_bytes(frame)
-        with pytest.raises(JournalError, match="format"):
-            Journal.open(other)
+        for version in (99, 1):
+            other = tmp_path / f"k{version}"
+            (other / "blobs").mkdir(parents=True)
+            payload = _json.dumps(
+                {"seq": 1, "kind": "journal-opened", "version": version},
+                sort_keys=True, separators=(",", ":")).encode()
+            frame = (len(payload).to_bytes(4, "little")
+                     + _hashlib.blake2b(payload, digest_size=16).digest()
+                     + payload)
+            (other / "events.log").write_bytes(frame)
+            with pytest.raises(JournalError, match=f"format {version}"):
+                Journal.open(other)
 
     def test_config_fingerprint_stable(self):
         class Cfg:
@@ -247,6 +277,62 @@ class TestTornTail:
         journal = Journal.open(torn_dir)
         assert journal.recovery["truncated_at"] == last_offset
         journal.close()
+
+    def test_pack_truncation_at_every_byte_of_final_frame(self, tmp_path):
+        """A coordinator killed mid-put leaves ``blobs.pack`` ending
+        inside its final frame. Every cut point must recover to the last
+        intact frame — detected, truncated, on the record — and resume
+        must still reach the serial verdict without the lost blob."""
+        src = tmp_path / "src"
+        with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
+                            workers=2, batch_size=16, seed=3,
+                            journal=src, checkpoint_every=2) as fuzzer:
+            fuzzer.run(executions=96)
+        log = (src / "events.log").read_bytes()
+        pack = (src / "blobs.pack").read_bytes()
+        frames = list(read_frames(pack))
+        last_offset = frames[-1][0]
+        lost = pack[last_offset + 4:last_offset + 20].hex()
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        (torn / "events.log").write_bytes(log)
+        for cut in range(last_offset + 1, len(pack)):
+            (torn / "events.log").write_bytes(log)
+            (torn / "blobs.pack").write_bytes(pack[:cut])
+            journal = Journal.open(torn)
+            recovery = {"truncated_at": last_offset,
+                        "dropped": cut - last_offset}
+            assert journal.pack_recovery == recovery, cut
+            assert journal.recovery is None
+            assert journal.records[-1] == {
+                "seq": journal.records[-1]["seq"],
+                "kind": "pack-recovered", **recovery}
+            assert lost not in journal.blobs
+            assert len(journal.blobs) == len(frames) - 1
+            journal.close()
+            assert (torn / "blobs.pack").read_bytes() == pack[:last_offset]
+        # Every cut repaired to the same pack bytes, so resuming the
+        # last one covers them all: the lost blob (the final
+        # checkpoint) is skipped on the record, never trusted.
+        with ParallelFuzzer.resume(torn) as resumed:
+            report = resumed.resume_run()
+        assert report.verdict_summary() == _Serial.fuzz()
+        skipped = Journal.open(torn, readonly=True).events(
+            "checkpoint-skipped")
+        assert [e["blob"] for e in skipped] == [lost]
+
+    def test_readonly_open_never_repairs_pack(self, tmp_path):
+        with Journal.create(tmp_path / "j") as journal:
+            journal.put_blob({"a": 1})
+            journal.put_blob({"b": 2})
+        pack = tmp_path / "j" / "blobs.pack"
+        data = pack.read_bytes()
+        pack.write_bytes(data[:-3])
+        journal = Journal.open(tmp_path / "j", readonly=True)
+        assert journal.pack_recovery["dropped"] == len(data) - 3 - \
+            journal.pack_recovery["truncated_at"]
+        assert len(journal.blobs) == 1
+        assert pack.read_bytes() == data[:-3]
 
     def test_readonly_open_never_repairs(self, tmp_path):
         data = self._make_journal(tmp_path / "src")
@@ -384,7 +470,7 @@ class TestJournaledRuns:
             fuzzer.run(executions=96)
         journal = Journal.open(tmp_path / "j", readonly=True)
         newest = journal.events("checkpoint")[-1]["blob"]
-        (tmp_path / "j" / "blobs" / newest).write_bytes(b"bit rot")
+        _flip_blob_byte(tmp_path / "j", newest)
         with ParallelFuzzer.resume(tmp_path / "j") as resumed:
             report = resumed.resume_run()
         assert report.verdict_summary() == _Serial.fuzz()

@@ -340,6 +340,73 @@ class TestEngineDeterminism:
         assert "workers=2" in stats.summary()
 
 
+#: One path that never forks: only the instruction budget can end it.
+SPIN = "_start:\nspin:\n    j spin\n"
+
+
+class TestInstructionBudget:
+    """A campaign whose one path never forks stops at the instruction
+    budget at any worker count — no lease may run past what the
+    campaign has left. Each run is bounded by a hard alarm, so a lease
+    that ignores the budget fails the test instead of hanging it."""
+
+    BUDGET = 5000
+    ALARM_S = 30
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return HardSnapSession(SPIN, TIMER).run(
+            max_instructions=self.BUDGET)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_spin_stops_at_budget(self, workers, serial):
+        def expire(signum, frame):
+            raise TimeoutError(
+                f"budgeted campaign ran past {self.ALARM_S}s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.ALARM_S)
+        try:
+            with ParallelAnalysisEngine(SPIN, TIMER,
+                                        workers=workers) as engine:
+                report = engine.run(max_instructions=self.BUDGET)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report.stop_reason == "instruction-budget"
+        assert report.instructions <= self.BUDGET
+        assert serial.stop_reason == "instruction-budget"
+        assert report.verdict_summary() == serial.verdict_summary()
+
+    def test_cli_run_workers_stops_at_budget(self, tmp_path):
+        fw = tmp_path / "spin.s"
+        fw.write_text(SPIN)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(SRC_DIR) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        out_path = tmp_path / "run.out"
+        # Output to a file, not a pipe: the pool's workers inherit it.
+        with open(out_path, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "run", str(fw),
+                 "--peripheral", f"timer@0x{TIMER_BASE:08x}",
+                 "--workers", "2",
+                 "--max-instructions", str(self.BUDGET)],
+                env=env, stdout=out, stderr=subprocess.STDOUT,
+                start_new_session=True)
+            try:
+                proc.wait(timeout=self.ALARM_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                pytest.fail(f"repro run --workers 2 did not stop at the "
+                            f"budget in {self.ALARM_S} s")
+        output = out_path.read_text()
+        assert proc.returncode == 0, output[-2000:]
+        assert f"instr={self.BUDGET} " in output
+        assert "stop=instruction-budget" in output
+
+
 class TestFuzzerDeterminism:
     """Satellite 3: merged fuzzing coverage/crashes are byte-identical
     to a serial run with the same batch size (E7 workload)."""
